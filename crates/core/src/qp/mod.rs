@@ -10,4 +10,4 @@ pub mod builder;
 pub mod solver;
 
 pub use builder::{build_qp_model, QpArtifacts, QpOptions};
-pub use solver::{QpConfig, QpSolver};
+pub use solver::{priming_config, QpConfig, QpSolver};

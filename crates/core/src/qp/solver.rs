@@ -7,6 +7,7 @@ use crate::error::CoreError;
 use crate::qp::builder::{build_qp_model, QpOptions};
 use crate::reduce::Reduction;
 use crate::report::{SolveReport, Termination};
+use crate::sa::{SaConfig, SaSolver};
 use std::time::{Duration, Instant};
 use vpart_ilp::{SolveParams, SolveStatus};
 use vpart_model::{Instance, Partitioning};
@@ -25,13 +26,18 @@ pub struct QpConfig {
     pub mip_gap: f64,
     /// Node limit for branch & bound.
     pub node_limit: usize,
-    /// Optional warm-start partitioning (e.g. an SA solution). When `None`,
-    /// the trivial single-site layout primes the incumbent.
+    /// Optional warm-start partitioning (e.g. an SA solution); any site
+    /// labeling works. When `None`, an SA multi-start
+    /// ([`priming_config`]) primes the incumbent — or, in disjoint mode,
+    /// the single-site layout. QP never returns a layout worse than its
+    /// incumbent.
     pub warm_start: Option<Partitioning>,
     /// Observability sink. Off by default ([`Obs::disabled`]); when
     /// enabled the solve records a `qp_solve` span plus the
-    /// `qp_branch_nodes_total` / `qp_lp_pivots_total` counters out of the
-    /// branch & bound statistics.
+    /// `qp_branch_nodes_total`, `qp_lp_pivots_total`,
+    /// `qp_root_lp_pivots_total`, `qp_warm_lp_pivots_total` and
+    /// `qp_lp_seconds_total` counters out of the branch & bound
+    /// statistics.
     pub obs: Obs,
 }
 
@@ -65,41 +71,16 @@ impl QpConfig {
     }
 }
 
-/// Cheap deterministic primal heuristic priming the branch & bound: the
-/// best of the single-site layout and a few alternating-subproblem passes
-/// from seeded random transaction assignments (canonicalized so symmetry
-/// breaking accepts them). Disjoint mode only uses the single-site layout
-/// (the greedy may replicate).
-fn greedy_incumbent(
-    instance: &Instance,
-    coeffs: &crate::cost::coeffs::CostCoefficients,
-    n_sites: usize,
-    cost: &CostConfig,
-) -> Option<Partitioning> {
-    use crate::cost::objective::fast_objective6;
-    use crate::sa::subproblem::{optimal_x_for_y, optimal_y_for_x};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut best = Partitioning::single_site(instance, n_sites).ok()?;
-    let mut best_cost = fast_objective6(instance, coeffs, &best, cost);
-    for seed in 0..6u64 {
-        let mut rng = StdRng::seed_from_u64(0x9A11 + seed);
-        let x: Vec<vpart_model::SiteId> = (0..instance.n_txns())
-            .map(|_| vpart_model::SiteId::from_index(rng.gen_range(0..n_sites)))
-            .collect();
-        let mut p = optimal_y_for_x(instance, coeffs, &x, n_sites, cost);
-        for _ in 0..2 {
-            p = optimal_x_for_y(instance, coeffs, &p, cost);
-            p = optimal_y_for_x(instance, coeffs, p.x(), n_sites, cost);
-        }
-        let c = fast_objective6(instance, coeffs, &p, cost);
-        if c < best_cost {
-            best = p;
-            best_cost = c;
-        }
+/// The SA multi-start that primes branch & bound when no warm start is
+/// given: the default annealing schedule and seed over 4 chains on one
+/// thread, each chain capped at an eighth of the QP time limit (so priming
+/// spends at most half of it).
+pub fn priming_config(time_limit: Duration) -> SaConfig {
+    SaConfig {
+        time_limit: (time_limit / 8).min(SaConfig::default().time_limit),
+        ..SaConfig::default()
     }
-    Some(best.canonicalized())
+    .multi_start(4, 1)
 }
 
 /// The exact solver: builds and solves the linearized program (7).
@@ -146,23 +127,35 @@ impl QpSolver {
         let coeffs = CostCoefficients::compute(work_instance, cost);
         let art = build_qp_model(work_instance, &coeffs, n_sites, cost, &self.config.options);
 
-        // Warm start: the supplied partitioning (restricted to group space
-        // under reduction), or an internal deterministic greedy multistart
-        // (alternating exact subproblems from a few seeds, plus the
-        // single-site layout). An infeasible start (e.g. replicated under
-        // disjoint mode) is simply dropped.
-        let warm = match (&self.config.warm_start, &reduction) {
-            (Some(p), None) => Some(p.clone()),
-            (Some(p), Some(r)) => Some(r.restrict(p)),
-            (None, _) => greedy_incumbent(work_instance, &coeffs, n_sites, cost),
+        // Incumbent: the supplied partitioning, else a seeded SA
+        // multi-start (the single-site layout in disjoint mode, where SA's
+        // replicas would be infeasible). Its sites are relabeled in
+        // first-use order so the symmetry-breaking rows accept it, and it
+        // is restricted to group space under reduction. An infeasible
+        // start (e.g. replicated under disjoint mode) is simply dropped.
+        let warm = match &self.config.warm_start {
+            Some(p) => Some(p.clone()),
+            None if self.config.options.allow_replication => {
+                SaSolver::new(priming_config(self.config.time_limit))
+                    .solve(instance, n_sites, cost)
+                    .ok()
+                    .map(|r| r.partitioning)
+            }
+            None => Partitioning::single_site(instance, n_sites).ok(),
         };
-        let initial = warm.and_then(|p| {
+        let initial = warm.as_ref().and_then(|p| {
+            let p = p.canonicalized();
+            let p = match &reduction {
+                Some(r) => r.restrict(&p),
+                None => p,
+            };
             let vals = art.assignment_from(&coeffs, &p);
             art.model.is_feasible(&vals, 1e-6).then_some(vals)
         });
 
         let params = SolveParams {
-            time_limit: self.config.time_limit,
+            // Priming and model building already spent part of the budget.
+            time_limit: self.config.time_limit.saturating_sub(start.elapsed()),
             mip_gap: self.config.mip_gap,
             node_limit: self.config.node_limit,
             int_tol: 1e-6,
@@ -200,14 +193,14 @@ impl QpSolver {
         part.validate(instance, !self.config.options.allow_replication)?;
 
         let mut breakdown = evaluate(instance, &part, cost);
-        // Incumbent guarantee: never return worse than a supplied warm
-        // start. The MIP terminates within `mip_gap` of the model optimum
-        // (the paper runs GLPK at 0.1%), and under reduction the warm start
-        // is only usable in restricted (union-replicated) form, so the
-        // extracted solution can evaluate slightly above the original warm
-        // start even when the solve reports success.
+        // Incumbent guarantee: never return worse than the warm start. The
+        // MIP terminates within `mip_gap` of the model optimum (the paper
+        // runs GLPK at 0.1%), and under reduction the warm start is only
+        // usable in restricted (union-replicated) form, so the extracted
+        // solution can evaluate slightly above the original warm start
+        // even when the solve reports success.
         let mut warm_start_won = false;
-        if let Some(ws) = &self.config.warm_start {
+        if let Some(ws) = &warm {
             if ws
                 .validate(instance, !self.config.options.allow_replication)
                 .is_ok()
@@ -229,17 +222,25 @@ impl QpSolver {
         } else {
             Termination::LimitReached
         };
+        let stats = &sol.stats;
+        let lp_s = stats.lp_time.as_secs_f64();
         let obs = &self.config.obs;
         if obs.is_enabled() {
-            obs.counter_add("qp_branch_nodes_total", sol.stats.nodes as f64);
-            obs.counter_add("qp_lp_pivots_total", sol.stats.lp_iterations as f64);
+            obs.counter_add("qp_branch_nodes_total", stats.nodes as f64);
+            obs.counter_add("qp_lp_pivots_total", stats.lp_iterations as f64);
+            obs.counter_add("qp_root_lp_pivots_total", stats.root_lp_iterations as f64);
+            obs.counter_add("qp_warm_lp_pivots_total", stats.warm_lp_iterations as f64);
+            obs.counter_add("qp_lp_seconds_total", lp_s);
             obs.observe_wall("solve_wall_seconds", start.elapsed().as_secs_f64());
         }
         obs.span_end(
             span,
             &[
-                ("nodes", sol.stats.nodes.into()),
-                ("lp_pivots", sol.stats.lp_iterations.into()),
+                ("nodes", stats.nodes.into()),
+                ("lp_pivots", stats.lp_iterations.into()),
+                ("root_pivots", stats.root_lp_iterations.into()),
+                ("warm_pivots", stats.warm_lp_iterations.into()),
+                ("lp_s", lp_s.into()),
                 ("exact", (termination == Termination::Optimal).into()),
                 ("objective6", breakdown.objective6.into()),
                 ("gap", sol.gap.into()),
@@ -251,9 +252,13 @@ impl QpSolver {
             termination,
             elapsed: start.elapsed(),
             detail: format!(
-                "mip: {} nodes, {} lp iterations, gap {:.4}%, reduced |A| {}{}{}",
-                sol.stats.nodes,
-                sol.stats.lp_iterations,
+                "mip: {} nodes, {} lp iterations ({} root, {} warm), lp time {:.3} s, \
+                 gap {:.4}%, reduced |A| {}{}{}",
+                stats.nodes,
+                stats.lp_iterations,
+                stats.root_lp_iterations,
+                stats.warm_lp_iterations,
+                lp_s,
                 sol.gap * 100.0,
                 work_instance.n_attrs(),
                 if rebalanced_members > 0 {

@@ -1,9 +1,12 @@
 //! Branch & bound over the LP relaxation.
 //!
 //! Best-first search (ties broken toward deeper nodes, giving a plunging
-//! flavor), most-fractional branching, per-node presolve, and a rounding
-//! primal heuristic. Termination mirrors the paper's GLPK setup: wall-clock
-//! time limit, relative MIP gap (0.1% there) and an optional node limit.
+//! flavor), first-fractional branching in variable order, and a rounding
+//! primal heuristic. The model is presolved once; every node LP is that
+//! root LP under the node's branching bounds, re-solved from its parent's
+//! optimal basis by the dual simplex ([`resolve_lp`]). Termination mirrors
+//! the paper's GLPK setup: wall-clock time limit (checked on every simplex
+//! pivot), relative MIP gap (0.1% there) and an optional node limit.
 //! When a limit stops the proof the best incumbent is reported with status
 //! [`SolveStatus::Feasible`] — the "cost in parentheses" convention of the
 //! paper's Table 3.
@@ -11,14 +14,15 @@
 use crate::error::IlpError;
 use crate::model::{Model, Sense, VarKind};
 use crate::presolve::{presolve, Presolved};
-use crate::simplex::{solve_lp, LpForm, LpOutcome};
+use crate::simplex::{resolve_lp, Basis, LpForm, LpOutcome};
 use crate::solution::{Solution, SolveParams, SolveStats, SolveStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Persistent chain of branching decisions (shared tails between siblings).
+/// Persistent chain of branching decisions (shared tails between siblings),
+/// over the root LP's columns.
 #[derive(Debug, Clone, Default)]
 struct Chain(Option<Rc<ChainNode>>);
 
@@ -40,24 +44,44 @@ impl Chain {
         })))
     }
 
-    /// Materializes the cumulative overrides for presolve.
-    fn overrides(&self, n: usize) -> Vec<Option<(f64, f64)>> {
-        let mut out: Vec<Option<(f64, f64)>> = vec![None; n];
-        let mut cur = &self.0;
-        while let Some(node) = cur {
-            let slot = &mut out[node.var];
-            match slot {
-                // Earlier entries in the chain are *older*; keep the
-                // tightest interval.
-                Some((lo, hi)) => {
-                    *lo = lo.max(node.lo);
-                    *hi = hi.min(node.hi);
-                }
-                None => *slot = Some((node.lo, node.hi)),
-            }
-            cur = &node.parent.0;
+    /// The decisions, newest first.
+    fn decisions(&self) -> impl Iterator<Item = &ChainNode> {
+        std::iter::successors(self.0.as_deref(), |node| node.parent.0.as_deref())
+    }
+
+    /// Intersects every decision into the bounds `lower`/`upper`.
+    fn tighten(&self, lower: &mut [f64], upper: &mut [f64]) {
+        for d in self.decisions() {
+            lower[d.var] = lower[d.var].max(d.lo);
+            upper[d.var] = upper[d.var].min(d.hi);
         }
-        out
+    }
+}
+
+/// What a node whose LP came back infeasible means for the search.
+#[derive(Debug, PartialEq)]
+enum InfeasibleNode {
+    /// No point lies in the node's bounds: prune it.
+    Prune,
+    /// The incumbent lies inside the node's bounds, so the LP was not
+    /// really infeasible: a numerical failure that keeps the bound open.
+    GiveUp,
+}
+
+/// Judges an infeasible node LP against the incumbent, whose value of root
+/// LP column `k` is `incumbent[keep[k]]`.
+fn infeasible_node(chain: &Chain, keep: &[usize], incumbent: Option<&[f64]>) -> InfeasibleNode {
+    const TOL: f64 = 1e-6;
+    match incumbent {
+        Some(values)
+            if chain.decisions().all(|d| {
+                let v = values[keep[d.var]];
+                v >= d.lo - TOL && v <= d.hi + TOL
+            }) =>
+        {
+            InfeasibleNode::GiveUp
+        }
+        _ => InfeasibleNode::Prune,
     }
 }
 
@@ -66,6 +90,8 @@ struct Node {
     depth: u32,
     seq: u64,
     chain: Chain,
+    /// The parent's optimal basis (`None` at the root).
+    basis: Option<Rc<Basis>>,
 }
 
 impl PartialEq for Node {
@@ -94,6 +120,7 @@ impl Ord for Node {
 pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> {
     model.validate()?;
     let start = Instant::now();
+    let deadline = start.checked_add(params.time_limit);
     let n = model.n_vars();
 
     // Work in minimization sense.
@@ -127,6 +154,30 @@ pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> 
         incumbent = Some((work.objective_value(init), init.clone()));
     }
 
+    // Presolve once. Every node LP is the root LP with the node's branching
+    // bounds intersected into the root bounds; `None` means presolve
+    // already proved the model infeasible.
+    let mut root = match presolve(&work, &vec![None; n]) {
+        Presolved::Reduced(red) => {
+            let lp = LpForm {
+                n: red.keep.len(),
+                cols: red.columns(),
+                cmps: red.cmps.clone(),
+                rhs: red.rhs.clone(),
+                lower: red.lower.clone(),
+                upper: red.upper.clone(),
+                obj: red.obj.clone(),
+            };
+            // Root LP column of each original variable (fixed ones: none).
+            let mut column = vec![None; n];
+            for (k, &j) in red.keep.iter().enumerate() {
+                column[j] = Some(k);
+            }
+            Some((red, lp, column))
+        }
+        Presolved::Infeasible => None,
+    };
+
     let int_tol = params.int_tol;
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -135,6 +186,7 @@ pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> 
         depth: 0,
         seq,
         chain: Chain::default(),
+        basis: None,
     });
     // Bound contributed by nodes whose LP failed numerically (conservative).
     let mut lost_bound = f64::INFINITY;
@@ -167,46 +219,52 @@ pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> 
         }
         stats.nodes += 1;
 
-        let overrides = node.chain.overrides(n);
-        let red = match presolve(&work, &overrides) {
-            Presolved::Infeasible => continue,
-            Presolved::Reduced(r) => r,
+        let Some((red, lp, column)) = root.as_mut() else {
+            continue; // presolve proved infeasibility
         };
+        lp.lower.copy_from_slice(&red.lower);
+        lp.upper.copy_from_slice(&red.upper);
+        node.chain.tighten(&mut lp.lower, &mut lp.upper);
 
-        let (full, node_obj) = if red.keep.is_empty() {
-            // Fully fixed by presolve.
-            (red.expand(&[]), red.obj_offset)
-        } else {
-            let lp = LpForm {
-                n: red.keep.len(),
-                cols: red.columns(),
-                cmps: red.cmps.clone(),
-                rhs: red.rhs.clone(),
-                lower: red.lower.clone(),
-                upper: red.upper.clone(),
-                obj: red.obj.clone(),
-            };
-            match solve_lp(&lp) {
-                Ok(LpOutcome::Optimal { x, obj, iterations }) => {
-                    stats.lp_iterations += iterations;
-                    (red.expand(&x), obj + red.obj_offset)
-                }
-                Ok(LpOutcome::Infeasible) => continue,
-                Ok(LpOutcome::Unbounded) => {
-                    if node.depth == 0 && incumbent.is_none() {
-                        unbounded = true;
-                        break;
-                    }
+        let lp_start = Instant::now();
+        let run = resolve_lp(lp, node.basis.as_deref(), deadline);
+        stats.lp_time += lp_start.elapsed();
+        let Ok(run) = run else {
+            // Numerical failure: surrender the node, keep correctness.
+            stats.exact = false;
+            lost_bound = lost_bound.min(node.bound);
+            continue;
+        };
+        stats.lp_iterations += run.iterations;
+        if node.depth == 0 {
+            stats.root_lp_iterations += run.iterations;
+        } else if run.warm {
+            stats.warm_lp_iterations += run.iterations;
+        }
+        let (full, node_obj, basis) = match run.outcome {
+            LpOutcome::Optimal { x, obj, basis, .. } => {
+                (red.expand(&x), obj + red.obj_offset, Rc::new(basis))
+            }
+            LpOutcome::Infeasible => {
+                let inc = incumbent.as_ref().map(|(_, v)| v.as_slice());
+                if infeasible_node(&node.chain, &red.keep, inc) == InfeasibleNode::GiveUp {
                     stats.exact = false;
                     lost_bound = lost_bound.min(node.bound);
-                    continue;
                 }
-                Err(_) => {
-                    // Numerical failure: surrender the node, keep correctness.
-                    stats.exact = false;
-                    lost_bound = lost_bound.min(node.bound);
-                    continue;
+                continue;
+            }
+            LpOutcome::Unbounded => {
+                if node.depth == 0 && incumbent.is_none() {
+                    unbounded = true;
+                    break;
                 }
+                stats.exact = false;
+                lost_bound = lost_bound.min(node.bound);
+                continue;
+            }
+            LpOutcome::TimeLimit => {
+                heap.push(node); // keep it open for bound reporting
+                break;
             }
         };
 
@@ -222,16 +280,14 @@ pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> 
         // partitioning MIP creates transaction-assignment variables first,
         // so the search fixes transaction placement before attribute
         // placement — the decisions everything else cascades from.
-        let mut branch: Option<(usize, f64)> = None; // (var, fractionality)
+        let mut branch: Option<usize> = None;
         for (j, v) in work.vars.iter().enumerate() {
             if v.kind != VarKind::Integer {
                 continue;
             }
             let x = full[j];
-            let frac = (x - x.round()).abs();
-            if frac > int_tol {
-                let score = (x - x.floor()).min(x.ceil() - x);
-                branch = Some((j, score));
+            if (x - x.round()).abs() > int_tol {
+                branch = Some(j);
                 break;
             }
         }
@@ -258,7 +314,7 @@ pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> 
                     lost_bound = lost_bound.min(node_obj);
                 }
             }
-            Some((j, _)) => {
+            Some(j) => {
                 // Primal rounding heuristic for an early incumbent.
                 let mut cand = full.clone();
                 for (jj, v) in work.vars.iter().enumerate() {
@@ -268,6 +324,10 @@ pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> 
                 }
                 accept_candidate(&cand, &work, &mut incumbent);
 
+                // A fractional variable is never fixed by presolve.
+                let Some(k) = column[j] else {
+                    return Err(IlpError::Internal("branching on a presolved variable"));
+                };
                 let x = full[j];
                 for (lo, hi) in [(f64::NEG_INFINITY, x.floor()), (x.ceil(), f64::INFINITY)] {
                     seq += 1;
@@ -275,7 +335,8 @@ pub fn solve(model: &Model, params: &SolveParams) -> Result<Solution, IlpError> 
                         bound: node_obj,
                         depth: node.depth + 1,
                         seq,
-                        chain: node.chain.extend(j, lo, hi),
+                        chain: node.chain.extend(k, lo, hi),
+                        basis: Some(basis.clone()),
                     });
                 }
             }
@@ -509,5 +570,49 @@ mod tests {
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 1.0).abs() < 1e-6);
         assert!(s.stats.nodes >= 1);
+        assert!(s.stats.root_lp_iterations > 0);
+        assert!(s.stats.warm_lp_iterations <= s.stats.lp_iterations);
+    }
+
+    #[test]
+    fn infeasible_node_is_pruned_unless_the_incumbent_lies_inside() {
+        // Root LP columns 0 and 1 are model variables 2 and 0.
+        let keep = [2, 0];
+        let chain =
+            Chain::default()
+                .extend(0, f64::NEG_INFINITY, 0.0)
+                .extend(1, 1.0, f64::INFINITY);
+        // No incumbent: nothing contradicts the LP.
+        assert_eq!(infeasible_node(&chain, &keep, None), InfeasibleNode::Prune);
+        // The incumbent violates a decision: the node may well be empty.
+        let outside = [1.0, 5.0, 1.0];
+        assert_eq!(
+            infeasible_node(&chain, &keep, Some(&outside)),
+            InfeasibleNode::Prune
+        );
+        // The incumbent satisfies every decision (within tolerance), so the
+        // node holds a feasible point and "infeasible" is a numerical error.
+        let inside = [1.0 - 1e-9, 5.0, 0.0];
+        assert_eq!(
+            infeasible_node(&chain, &keep, Some(&inside)),
+            InfeasibleNode::GiveUp
+        );
+        // The root (no decisions) always contains the incumbent.
+        assert_eq!(
+            infeasible_node(&Chain::default(), &keep, Some(&outside)),
+            InfeasibleNode::GiveUp
+        );
+    }
+
+    #[test]
+    fn children_tighten_the_root_bounds() {
+        let chain = Chain::default()
+            .extend(1, f64::NEG_INFINITY, 0.0)
+            .extend(0, 1.0, f64::INFINITY)
+            .extend(1, f64::NEG_INFINITY, 2.0);
+        let mut lower = vec![0.0, 0.0];
+        let mut upper = vec![3.0, 3.0];
+        chain.tighten(&mut lower, &mut upper);
+        assert_eq!((lower, upper), (vec![1.0, 0.0], vec![3.0, 0.0]));
     }
 }

@@ -6,15 +6,22 @@
 //!
 //! * [`Model`] — a sparse MILP builder (continuous/integer variables with
 //!   bounds, linear constraints, min/max objective),
-//! * a **bounded-variable primal simplex** with two phases, explicit basis
-//!   inverse maintained by eta updates, Dantzig pricing with a Bland
-//!   anti-cycling fallback, and row equilibration ([`simplex`]),
+//! * a **bounded-variable simplex** ([`simplex`]): a two-phase primal
+//!   simplex for cold solves and a dual simplex that re-solves an LP from a
+//!   related LP's optimal [`simplex::Basis`] after its bounds tighten, both
+//!   over an explicit basis inverse maintained by eta updates, with Dantzig
+//!   pricing plus a Bland anti-cycling fallback, power-of-two row and
+//!   column equilibration, and a deadline checked on every pivot,
 //! * a light **presolve** (fixed-variable substitution, singleton-row bound
-//!   tightening, empty-row elimination) applied at every node ([`presolve`]),
-//! * **branch & bound** with best-first node selection, most-fractional
-//!   branching, a rounding primal heuristic, incumbent injection, time
-//!   limit, node limit and relative MIP-gap termination ([`branch`]) — the
-//!   same control knobs the paper uses for GLPK (30 min limit, 0.1% gap).
+//!   tightening, empty-row elimination) applied once at the root
+//!   ([`presolve`]),
+//! * **branch & bound** ([`branch`]) with best-first node selection,
+//!   first-fractional branching, children warm-started from their parent's
+//!   optimal basis, a rounding primal heuristic, incumbent injection, time
+//!   limit, node limit and relative MIP-gap termination — the same control
+//!   knobs the paper uses for GLPK (30 min limit, 0.1% gap).
+//!   [`SolveStats`] splits the simplex work into root and warm-child
+//!   pivots and reports the LP wall time.
 //!
 //! The solver is exact on the scales exercised by the paper's evaluation
 //! (it proves optimality where GLPK did) and degrades the same way (returns

@@ -1,12 +1,10 @@
-//! Lightweight presolve applied before every LP solve.
+//! Lightweight presolve applied once, before the root LP solve.
 //!
 //! Three reductions are iterated to a fixpoint:
 //!
 //! 1. **Fixed-variable substitution** — variables with `lower == upper`
 //!    (within tolerance) are substituted into constraints and the objective.
-//!    In branch & bound most branching decisions fix binaries, so this
-//!    shrinks node LPs dramatically (a fixed `x[t][s]` cascades through the
-//!    linearization rows `u ≤ x`).
+//!    A fixed `x[t][s]` cascades through the linearization rows `u ≤ x`.
 //! 2. **Singleton rows** — `a·x cmp rhs` becomes a bound update on `x`
 //!    (rounded inward for integer variables) and the row is dropped.
 //! 3. **Empty rows** — checked for trivial feasibility and dropped.

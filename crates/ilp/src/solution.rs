@@ -23,7 +23,8 @@ pub enum SolveStatus {
 /// for GLPK (time limit, MIP gap).
 #[derive(Debug, Clone)]
 pub struct SolveParams {
-    /// Wall-clock limit for the whole solve.
+    /// Wall-clock limit for the whole solve, checked on every simplex
+    /// pivot.
     pub time_limit: Duration,
     /// Relative MIP gap at which the incumbent is accepted as optimal
     /// (paper: 0.1% = 0.001).
@@ -66,6 +67,13 @@ pub struct SolveStats {
     pub nodes: usize,
     /// Total simplex iterations across all LP solves.
     pub lp_iterations: usize,
+    /// Simplex iterations of the root LP relaxation.
+    pub root_lp_iterations: usize,
+    /// Simplex iterations of child LPs re-solved from their parent's
+    /// optimal basis (cold fallbacks excluded).
+    pub warm_lp_iterations: usize,
+    /// Wall-clock time spent inside LP solves.
+    pub lp_time: Duration,
     /// Wall-clock time spent.
     pub elapsed: Duration,
     /// True if every explored node's LP solved cleanly (optimality proofs

@@ -1,12 +1,12 @@
 //! Property-based validation of the MILP solver against brute force.
 //!
 //! Small random binary programs are solved both by branch & bound and by
-//! exhaustive enumeration; objectives and statuses must agree. Random LPs
-//! are checked for weak duality-style invariants: the returned point is
-//! feasible and no sampled feasible point beats it.
+//! exhaustive enumeration; objectives and statuses must agree. Mixed
+//! programs with continuous `[0, 1]` columns are checked the same way, each
+//! binary completion's continuous part solved as a plain LP.
 
 use proptest::prelude::*;
-use vpart_ilp::{Cmp, Model, SolveParams, SolveStatus};
+use vpart_ilp::{Cmp, Model, SolveParams, SolveStatus, VarKind, VarRef};
 
 /// Compact description of a random binary program.
 #[derive(Debug, Clone)]
@@ -19,7 +19,12 @@ struct BinProgram {
 }
 
 fn bin_program() -> impl Strategy<Value = BinProgram> {
-    (2usize..7, 0usize..5, any::<bool>()).prop_flat_map(|(n, m, maximize)| {
+    (2usize..7).prop_flat_map(bin_program_of)
+}
+
+/// A random program over `n` columns.
+fn bin_program_of(n: usize) -> impl Strategy<Value = BinProgram> {
+    (0usize..5, any::<bool>()).prop_flat_map(move |(m, maximize)| {
         let obj = proptest::collection::vec(-5.0..5.0f64, n);
         let row = (
             proptest::collection::vec(-3.0..3.0f64, n),
@@ -54,6 +59,11 @@ fn build(p: &BinProgram) -> Model {
     let vars: Vec<_> = (0..p.n)
         .map(|i| m.binary(format!("x{i}"), p.obj[i]))
         .collect();
+    add_rows(&mut m, &vars, p);
+    m
+}
+
+fn add_rows(m: &mut Model, vars: &[VarRef], p: &BinProgram) {
     for (r, (coefs, cmp, rhs)) in p.rows.iter().enumerate() {
         let cmp = match cmp {
             0 => Cmp::Le,
@@ -63,7 +73,6 @@ fn build(p: &BinProgram) -> Model {
         let terms: Vec<_> = vars.iter().zip(coefs).map(|(&v, &c)| (v, c)).collect();
         m.add_constraint(format!("r{r}"), terms, cmp, *rhs);
     }
-    m
 }
 
 /// Exhaustive optimum over all 2^n assignments; `None` if infeasible.
@@ -84,8 +93,88 @@ fn brute_force(m: &Model) -> Option<f64> {
     best
 }
 
+/// A random mixed program: binaries followed by continuous `[0, 1]`
+/// columns, so branch & bound re-solves children whose LP optimum moves the
+/// continuous part.
+#[derive(Debug, Clone)]
+struct MixedProgram {
+    ints: usize,
+    inner: BinProgram,
+}
+
+fn mixed_program() -> impl Strategy<Value = MixedProgram> {
+    (1usize..5, 1usize..4).prop_flat_map(|(ints, conts)| {
+        bin_program_of(ints + conts).prop_map(move |inner| MixedProgram { ints, inner })
+    })
+}
+
+/// The mixed program with its binaries free, or pinned to `fixed`.
+fn build_mixed(p: &MixedProgram, fixed: Option<&[f64]>) -> Model {
+    let q = &p.inner;
+    let mut m = if q.maximize {
+        Model::maximize()
+    } else {
+        Model::minimize()
+    };
+    let vars: Vec<_> = (0..q.n)
+        .map(|i| match (i < p.ints, fixed) {
+            (true, Some(f)) => m.add_var(format!("x{i}"), VarKind::Integer, f[i], f[i], q.obj[i]),
+            (true, None) => m.binary(format!("x{i}"), q.obj[i]),
+            (false, _) => m.add_var(format!("u{i}"), VarKind::Continuous, 0.0, 1.0, q.obj[i]),
+        })
+        .collect();
+    add_rows(&mut m, &vars, q);
+    m
+}
+
+/// Exhaustive optimum over the binaries, each completion's continuous part
+/// solved as a plain (cold, branch-free) LP; `None` if infeasible.
+fn brute_force_mixed(p: &MixedProgram) -> Option<f64> {
+    let mut best: Option<f64> = None;
+    for mask in 0u32..(1 << p.ints) {
+        let fixed: Vec<f64> = (0..p.ints).map(|i| ((mask >> i) & 1) as f64).collect();
+        let sol = build_mixed(p, Some(&fixed))
+            .solve(&SolveParams::default())
+            .unwrap();
+        match sol.status {
+            SolveStatus::Infeasible => {}
+            SolveStatus::Optimal => {
+                let obj = sol.objective;
+                best = Some(match best {
+                    None => obj,
+                    Some(b) if p.inner.maximize => b.max(obj),
+                    Some(b) => b.min(obj),
+                });
+            }
+            other => panic!("completion {fixed:?} ended {other:?}"),
+        }
+    }
+    best
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mixed_programs_match_enumeration(p in mixed_program()) {
+        let m = build_mixed(&p, None);
+        let params = SolveParams {
+            mip_gap: 0.0,
+            ..Default::default()
+        };
+        let sol = m.solve(&params).unwrap();
+        match brute_force_mixed(&p) {
+            None => prop_assert_eq!(sol.status, SolveStatus::Infeasible),
+            Some(best) => {
+                prop_assert_eq!(sol.status, SolveStatus::Optimal);
+                prop_assert!(
+                    (sol.objective - best).abs() <= 1e-6 * best.abs().max(1.0),
+                    "solver {} vs enumeration {}", sol.objective, best
+                );
+                prop_assert!(m.is_feasible(&sol.values, 1e-6));
+            }
+        }
+    }
 
     #[test]
     fn branch_and_bound_matches_brute_force(p in bin_program()) {

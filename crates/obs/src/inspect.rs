@@ -115,6 +115,12 @@ pub struct QpRow {
     pub nodes: u64,
     /// Simplex pivots across all LP relaxations.
     pub lp_pivots: u64,
+    /// Pivots of the root LP relaxation.
+    pub root_pivots: u64,
+    /// Pivots of child LPs warm-started from their parent's basis.
+    pub warm_pivots: u64,
+    /// Wall time inside LP solves, in milliseconds.
+    pub lp_ms: f64,
     /// Whether the solve proved optimality.
     pub exact: bool,
     /// Final objective (6) value.
@@ -235,6 +241,9 @@ impl TraceSummary {
                 "qp_solve" => summary.qp.push(QpRow {
                     nodes: u(&fields, "nodes"),
                     lp_pivots: u(&fields, "lp_pivots"),
+                    root_pivots: u(&fields, "root_pivots"),
+                    warm_pivots: u(&fields, "warm_pivots"),
+                    lp_ms: f(&fields, "lp_s") * 1000.0,
                     exact: b(&fields, "exact"),
                     objective6: f(&fields, "objective6"),
                     wall_ms,
@@ -390,8 +399,16 @@ impl TraceSummary {
         for q in &self.qp {
             let _ = writeln!(
                 out,
-                "\nqp solve: {} branch nodes, {} lp pivots, exact={}, objective6={:.3}, wall_ms={:.1}",
-                q.nodes, q.lp_pivots, q.exact, q.objective6, q.wall_ms
+                "\nqp solve: {} branch nodes, {} lp pivots ({} root, {} warm), lp_ms={:.1}, \
+                 exact={}, objective6={:.3}, wall_ms={:.1}",
+                q.nodes,
+                q.lp_pivots,
+                q.root_pivots,
+                q.warm_pivots,
+                q.lp_ms,
+                q.exact,
+                q.objective6,
+                q.wall_ms
             );
         }
         out

@@ -120,8 +120,15 @@ fn qp_solves_record_node_and_pivot_counters() {
         String::from_utf8_lossy(&out.stderr)
     );
     let prom = std::fs::read_to_string(&metrics).unwrap();
-    assert!(prom.contains("qp_branch_nodes_total"));
-    assert!(prom.contains("qp_lp_pivots_total"));
+    for counter in [
+        "qp_branch_nodes_total",
+        "qp_lp_pivots_total",
+        "qp_root_lp_pivots_total",
+        "qp_warm_lp_pivots_total",
+        "qp_lp_seconds_total",
+    ] {
+        assert!(prom.contains(counter), "{counter} missing:\n{prom}");
+    }
     assert!(prom.contains("solve_wall_seconds_count 1"));
     let _ = std::fs::remove_file(&metrics);
 }
