@@ -13,7 +13,7 @@
 //! and ignored.
 
 use crate::error::IngestError;
-use crate::lexer::{RawStatement, Tok};
+use crate::lexer::{Lexer, Statement, Tok, Token};
 use crate::report::{SkipReason, Skipped, WidthFallback};
 use crate::IngestOptions;
 use vpart_model::{AttrId, Schema, TableId};
@@ -46,7 +46,11 @@ pub struct ParsedSchema {
 
 /// Parses DDL text into a [`Schema`].
 pub fn parse_schema(sql: &str, opts: &IngestOptions) -> Result<ParsedSchema, IngestError> {
-    let statements = crate::lexer::split_statements(sql)?;
+    let mut lexer = Lexer::new(sql);
+    parse_tables(&mut lexer, opts).map_err(|e| lexer.first_error(e))
+}
+
+fn parse_tables(lexer: &mut Lexer<'_>, opts: &IngestOptions) -> Result<ParsedSchema, IngestError> {
     let mut builder = Schema::builder();
     let mut width_fallbacks = Vec::new();
     let mut skipped = Vec::new();
@@ -56,14 +60,14 @@ pub fn parse_schema(sql: &str, opts: &IngestOptions) -> Result<ParsedSchema, Ing
     let mut pk_names: Vec<Vec<(String, u32)>> = Vec::new();
     let mut any_table = false;
 
-    for stmt in &statements {
+    while let Some(stmt) = lexer.next_statement()? {
         let is_create_table = stmt.head().as_deref() == Some("CREATE")
             && stmt.tokens.get(1).is_some_and(|t| t.tok.is_kw("TABLE"));
         if !is_create_table {
             skipped.push(Skipped {
                 line: stmt.line,
                 reason: SkipReason::NotADmlStatement,
-                snippet: stmt.snippet.clone(),
+                snippet: stmt.snippet(),
             });
             continue;
         }
@@ -122,7 +126,7 @@ struct TableDef {
 }
 
 fn parse_create_table(
-    stmt: &RawStatement,
+    stmt: &Statement,
     opts: &IngestOptions,
     fallbacks: &mut Vec<WidthFallback>,
 ) -> Result<TableDef, IngestError> {
@@ -135,7 +139,7 @@ fn parse_create_table(
     let Some(Tok::Ident(name)) = toks.get(i).map(|t| &t.tok) else {
         return Err(syntax(stmt, i, "a table name"));
     };
-    let name = name.clone();
+    let name = name.to_string();
     i += 1;
     if !matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct('('))) {
         return Err(syntax(stmt, i, "`(` opening the column list"));
@@ -191,7 +195,7 @@ fn parse_create_table(
                             ) {
                                 continue;
                             }
-                            pk.push((col.clone(), t.line));
+                            pk.push((col.to_string(), t.line));
                         }
                     }
                 }
@@ -202,7 +206,7 @@ fn parse_create_table(
         let Tok::Ident(col) = &tok.tok else {
             return Err(syntax(stmt, i, "a column name"));
         };
-        let col = col.clone();
+        let col = col.to_string();
         i += 1;
         // Type: one or two identifier words plus optional (args).
         let Some(Tok::Ident(ty0)) = toks.get(i).map(|t| &t.tok) else {
@@ -270,11 +274,7 @@ fn parse_create_table(
 /// Advances past the current column-list item: to just after the next
 /// top-level `,`, or to the closing `)` of the list. An unbalanced `(`
 /// inside the item is a syntax error (nothing to resynchronize on).
-fn skip_to_item_end(
-    toks: &[crate::lexer::Token],
-    mut i: usize,
-    stmt: &RawStatement,
-) -> Result<usize, IngestError> {
+fn skip_to_item_end(toks: &[Token], mut i: usize, stmt: &Statement) -> Result<usize, IngestError> {
     let mut depth = 0usize;
     let mut last_open = i;
     while let Some(t) = toks.get(i) {
@@ -302,11 +302,7 @@ fn skip_to_item_end(
 
 /// Given `toks[i] == '('`, returns the index of the matching `)`; an
 /// unbalanced group is a syntax error.
-fn skip_group(
-    toks: &[crate::lexer::Token],
-    i: usize,
-    stmt: &RawStatement,
-) -> Result<usize, IngestError> {
+fn skip_group(toks: &[Token], i: usize, stmt: &Statement) -> Result<usize, IngestError> {
     let mut depth = 0usize;
     for (j, t) in toks.iter().enumerate().skip(i) {
         match t.tok {
@@ -327,7 +323,7 @@ fn skip_group(
     ))
 }
 
-fn syntax(stmt: &RawStatement, i: usize, expected: &str) -> IngestError {
+fn syntax(stmt: &Statement, i: usize, expected: &str) -> IngestError {
     let (line, found) = match stmt.tokens.get(i) {
         Some(t) => (t.line, format!("{:?}", t.tok)),
         None => (stmt.line, "end of statement".to_string()),

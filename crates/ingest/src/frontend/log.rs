@@ -23,17 +23,38 @@
 //! `-- txn=Name` names the template. `freq=`/`txn=` may sit on either
 //! bracket of a block; conflicting values are an error.
 //!
+//! # One pass, one parse per statement shape
+//!
+//! An OLTP log is a few statement shapes repeated with different
+//! literals. The miner streams the log through [`crate::lexer::Lexer`],
+//! one statement of borrowed tokens at a time, and keys each statement by
+//! its *shape* (`stmt::shape_key`): the token sequence with
+//! literal values erased (their kind — number, string, parameter — kept),
+//! the identifier spellings, and the `rows=` / `sel=` / `freq=`
+//! annotation values. That is everything the statement parser reads:
+//! literal values only matter as "a constant sits here" (a primary-key
+//! equality), so `WHERE id = 7` and `WHERE id = 8` parse identically. The
+//! parser runs on the first occurrence of each shape; later occurrences
+//! cost one lookup that compares the full key (never a bare hash). The
+//! cache lives for one [`crate::ingest`] call.
+//!
+//! Transaction occurrences are lists of statement ids (the interned
+//! structure each shape parsed to) with multiplicities, and aggregate by
+//! them; snippets are cut from the log only when a diagnostic needs one.
+//! Row estimates are reported once per shape and table, anchored at the
+//! line and snippet of the shape's first committed occurrence — a
+//! rolled-back block contributes none.
+//!
 //! Aggregation, sampling scale-up and confidence thresholds are shared
 //! with the statistics frontends — see [`crate::frontend`].
 
-use super::{
-    access_estimates, aggregate_and_build, coalesce, EstimateDedup, FrontendCtx, MinerStats,
-    Occurrence, WorkloadFrontend,
-};
+use super::{merge_stmt, FrontendCtx, Miner, MinerStats, ShapeKind, WorkloadFrontend};
 use crate::error::IngestError;
-use crate::report::{RowEstimate, SkipReason, Skipped};
-use crate::stmt::{parse_statement, statement_stats, Parsed, ParsedDml, StmtCtx};
+use crate::lexer::{snippet, Lexer, Statement};
+use crate::report::{SkipReason, Skipped};
+use crate::stmt::statement_stats;
 use crate::IngestOptions;
+use std::ops::Range;
 use vpart_model::{Schema, Workload};
 
 /// The raw-query-log frontend (`--log`).
@@ -55,21 +76,25 @@ impl WorkloadFrontend for LogFrontend {
 }
 
 /// The `freq=` weight of a transaction bracket, `None` when unannotated.
-fn bracket_weight(stmt: &crate::lexer::RawStatement) -> Result<Option<f64>, IngestError> {
+fn bracket_weight(stmt: &Statement<'_>) -> Result<Option<f64>, IngestError> {
     Ok(statement_stats(stmt)?.freq)
 }
 
-/// An open `BEGIN` block under construction.
-struct OpenBlock {
+/// A DML statement inside an open block.
+struct Member {
+    shape: usize,
     line: u32,
-    stmts: Vec<ParsedDml>,
-    name: Option<String>,
+    /// Byte span in the log, for a snippet if a diagnostic needs one.
+    span: Range<usize>,
+}
+
+/// An open `BEGIN` block under construction.
+struct OpenBlock<'a> {
+    line: u32,
+    name: Option<&'a str>,
     /// `freq=` from the `BEGIN` bracket, if any.
     weight: Option<f64>,
-    /// Raw statements of the block, for rollback diagnostics.
-    raws: Vec<(u32, String)>,
-    /// Row estimates of the block, dropped if it rolls back.
-    estimates: Vec<RowEstimate>,
+    members: Vec<Member>,
 }
 
 /// Mines `log` into a [`Workload`] against the parsed schema.
@@ -79,50 +104,56 @@ pub fn mine_workload(
     primary_keys: &[Vec<vpart_model::AttrId>],
     opts: &IngestOptions,
 ) -> Result<(Workload, MinerStats), IngestError> {
-    let statements = crate::lexer::split_statements(log)?;
-    if statements.is_empty() {
-        return Err(IngestError::EmptyLog);
-    }
-    let ctx = StmtCtx {
+    let ctx = FrontendCtx {
         schema,
-        pks: primary_keys,
-        strict: opts.strict,
-        default_rows: opts.default_rows,
+        primary_keys,
+        opts,
     };
+    let mut lexer = Lexer::new(log);
+    let mut miner = Miner::new(&ctx);
+    mine_statements(&mut lexer, &mut miner, log).map_err(|e| lexer.first_error(e))?;
+    if miner.is_empty() {
+        return Err(if miner.stats.statements_seen == 0 {
+            IngestError::EmptyLog
+        } else {
+            IngestError::NothingIngested {
+                statements: miner.stats.statements_seen,
+            }
+        });
+    }
+    miner.build()
+}
 
-    let mut stats = MinerStats::default();
-    let mut occurrences: Vec<Occurrence> = Vec::new();
-    let mut open: Option<OpenBlock> = None;
-    let mut estimates = EstimateDedup::default();
-
-    for stmt in &statements {
-        let parsed = parse_statement(stmt, &ctx)?;
-        match parsed {
-            Parsed::Begin => {
+/// Feeds every statement of the log to `miner`, grouping brackets.
+fn mine_statements<'a>(
+    lexer: &mut Lexer<'a>,
+    miner: &mut Miner<'_>,
+    log: &'a str,
+) -> Result<(), IngestError> {
+    let mut open: Option<OpenBlock<'a>> = None;
+    // Scratch: the `(statement id, multiplicity)` list of one occurrence.
+    let mut stmts: Vec<(usize, f64)> = Vec::new();
+    while let Some(stmt) = lexer.next_statement()? {
+        let shape = miner.shape(stmt)?;
+        match miner.kind(shape) {
+            ShapeKind::Begin => {
                 if open.is_some() {
                     return Err(IngestError::NestedTransaction { line: stmt.line });
                 }
                 open = Some(OpenBlock {
                     line: stmt.line,
-                    stmts: Vec::new(),
-                    name: stmt.annotation("txn").map(str::to_string),
+                    name: stmt.annotation("txn"),
                     weight: bracket_weight(stmt)?,
-                    raws: Vec::new(),
-                    estimates: Vec::new(),
+                    members: Vec::new(),
                 });
             }
-            Parsed::Commit => {
+            ShapeKind::Commit => {
                 let Some(block) = open.take() else {
                     return Err(IngestError::CommitOutsideTransaction { line: stmt.line });
                 };
                 // `txn=` / `freq=` may sit on either bracket; both ends
                 // must agree when both are given.
-                let name = merge_annotation(
-                    "txn",
-                    block.name,
-                    stmt.annotation("txn").map(str::to_string),
-                    stmt.line,
-                )?;
+                let name = merge_annotation("txn", block.name, stmt.annotation("txn"), stmt.line)?;
                 let commit_weight = bracket_weight(stmt)?;
                 let weight = match (block.weight, commit_weight) {
                     (Some(a), Some(b)) if a != b => {
@@ -135,95 +166,80 @@ pub fn mine_workload(
                     }
                     (a, b) => a.or(b).unwrap_or(1.0),
                 };
-                if !block.stmts.is_empty() {
-                    stats.txn_occurrences += 1;
-                    estimates.commit(&mut stats, block.estimates);
-                    occurrences.push(Occurrence {
-                        name,
-                        stmts: coalesce(block.stmts),
-                        weight,
-                    });
+                if !block.members.is_empty() {
+                    miner.stats.txn_occurrences += 1;
+                    stmts.clear();
+                    for m in &block.members {
+                        miner.report_estimates(m.shape, m.line, || snippet(&log[m.span.clone()]));
+                        if let ShapeKind::Dml { stmt, freq } = miner.kind(m.shape) {
+                            merge_stmt(&mut stmts, stmt, freq);
+                        }
+                    }
+                    miner.add_occurrence(name, &stmts, weight);
                 }
             }
-            Parsed::Rollback => {
+            ShapeKind::Rollback => {
                 let Some(block) = open.take() else {
                     return Err(IngestError::RollbackOutsideTransaction { line: stmt.line });
                 };
-                stats.statements_ingested -= block.stmts.len();
-                for (line, snippet) in block.raws {
-                    stats.skipped.push(Skipped {
-                        line,
+                miner.stats.statements_ingested -= block.members.len();
+                for m in block.members {
+                    miner.stats.skipped.push(Skipped {
+                        line: m.line,
                         reason: SkipReason::RolledBack,
-                        snippet,
+                        snippet: snippet(&log[m.span]),
                     });
                 }
             }
-            Parsed::Dml(dml) => {
-                stats.statements_seen += 1;
-                stats.statements_ingested += 1;
-                let stmt_estimates = access_estimates(&dml, stmt.line, &stmt.snippet, schema);
+            ShapeKind::Dml { stmt: id, freq } => {
+                miner.stats.statements_seen += 1;
+                miner.stats.statements_ingested += 1;
                 match &mut open {
                     Some(block) => {
                         if block.name.is_none() {
-                            block.name = stmt.annotation("txn").map(str::to_string);
+                            block.name = stmt.annotation("txn");
                         }
-                        block.raws.push((stmt.line, stmt.snippet.clone()));
-                        block.estimates.extend(stmt_estimates);
-                        block.stmts.push(dml);
+                        block.members.push(Member {
+                            shape,
+                            line: stmt.line,
+                            span: stmt.span.clone(),
+                        });
                     }
                     None => {
-                        let weight = dml.freq;
-                        let mut dml = dml;
-                        dml.freq = 1.0;
-                        stats.txn_occurrences += 1;
-                        estimates.commit(&mut stats, stmt_estimates);
-                        occurrences.push(Occurrence {
-                            name: stmt.annotation("txn").map(str::to_string),
-                            stmts: coalesce(vec![dml]),
-                            weight,
-                        });
+                        miner.stats.txn_occurrences += 1;
+                        miner.report_estimates(shape, stmt.line, || stmt.snippet());
+                        miner.add_occurrence(stmt.annotation("txn"), &[(id, 1.0)], freq);
                     }
                 }
             }
-            Parsed::Skip(reason) => {
-                stats.statements_seen += 1;
-                stats.skipped.push(Skipped {
+            ShapeKind::Skip(reason) => {
+                miner.stats.statements_seen += 1;
+                miner.stats.skipped.push(Skipped {
                     line: stmt.line,
                     reason,
-                    snippet: stmt.snippet.clone(),
+                    snippet: stmt.snippet(),
                 });
             }
         }
     }
-    if let Some(block) = open {
-        return Err(IngestError::UnterminatedTransaction { line: block.line });
+    match open {
+        Some(block) => Err(IngestError::UnterminatedTransaction { line: block.line }),
+        None => Ok(()),
     }
-    if occurrences.is_empty() {
-        return Err(if stats.statements_seen == 0 {
-            IngestError::EmptyLog
-        } else {
-            IngestError::NothingIngested {
-                statements: stats.statements_seen,
-            }
-        });
-    }
-
-    let workload = aggregate_and_build(occurrences, schema, opts, &mut stats)?;
-    Ok((workload, stats))
 }
 
 /// Combines an annotation that may sit on either transaction bracket.
-fn merge_annotation(
+fn merge_annotation<'a>(
     key: &str,
-    begin: Option<String>,
-    commit: Option<String>,
+    begin: Option<&'a str>,
+    commit: Option<&'a str>,
     line: u32,
-) -> Result<Option<String>, IngestError> {
+) -> Result<Option<&'a str>, IngestError> {
     match (begin, commit) {
         (Some(a), Some(b)) if a != b => Err(IngestError::ConflictingAnnotation {
             key: key.to_string(),
-            first: a,
-            second: b,
+            first: a.to_string(),
+            second: b.to_string(),
             line,
         }),
         (a, b) => Ok(a.or(b)),

@@ -28,8 +28,9 @@ pub mod perf_schema;
 pub mod pgss;
 
 use crate::error::IngestError;
+use crate::lexer::{snippet, Annotation, Statement};
 use crate::report::{ConfidenceEntry, ConfidenceLevel, RowEstimate, SkipReason, Skipped};
-use crate::stmt::{parse_statement, Parsed, ParsedDml, RowBasis, StmtCtx};
+use crate::stmt::{parse_statement, Parsed, ParsedDml, RowBasis, StmtCtx, StmtKind, TableAccess};
 use crate::IngestOptions;
 use std::collections::HashMap;
 use std::fmt;
@@ -151,7 +152,7 @@ impl RecordBatch {
         self.skipped.push(Skipped {
             line,
             reason,
-            snippet: compact(snippet),
+            snippet: crate::lexer::snippet(snippet),
         });
     }
 }
@@ -193,238 +194,343 @@ pub struct MinerStats {
     /// Transaction occurrences observed before aggregation (sum of
     /// observed, unscaled execution counts for statistics dumps).
     pub txn_occurrences: usize,
+    /// Distinct statement shapes parsed (transaction brackets included);
+    /// every other statement reused the parse of its shape.
+    pub statement_shapes: usize,
     /// Skipped statements.
     pub skipped: Vec<Skipped>,
-    /// Row counts that were estimated rather than annotated.
+    /// Row counts that were estimated rather than annotated, one entry
+    /// per statement shape and table.
     pub row_estimates: Vec<RowEstimate>,
     /// Per-template sampling confidence (populated when sampling).
     pub confidence: Vec<ConfidenceEntry>,
 }
 
-/// A statement inside a transaction template with its per-execution
-/// multiplicity (> 1 when the statement repeats within one transaction).
-#[derive(Debug, Clone)]
-pub(crate) struct TemplateStmt {
-    pub(crate) dml: ParsedDml,
-    pub(crate) mult: f64,
+/// What parsing one statement shape produced.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ShapeKind {
+    Begin,
+    Commit,
+    Rollback,
+    /// A DML statement: its interned structure and the `freq=` weight of
+    /// one occurrence.
+    Dml {
+        stmt: usize,
+        freq: f64,
+    },
+    Skip(SkipReason),
 }
 
-/// One observed transaction before aggregation.
-pub(crate) struct Occurrence {
-    pub(crate) name: Option<String>,
-    pub(crate) stmts: Vec<TemplateStmt>,
-    /// Observed (unscaled) executions this occurrence stands for.
-    pub(crate) weight: f64,
+struct Shape {
+    kind: ShapeKind,
+    /// Whether the shape's row estimates are in the report already.
+    estimates_reported: bool,
+}
+
+/// A statement's structure with its row bases: statements equal under
+/// this key merge into one multiplicity within a transaction.
+type StmtKey = (StmtKind, Vec<(AccessKey, RowBasis)>);
+
+/// One table access without its row basis.
+type AccessKey = (u32, Vec<u32>, Vec<u32>, u64);
+
+/// A statement's structure without row bases: transaction occurrences
+/// whose statements are equal under this key (with equal multiplicities)
+/// aggregate into one template.
+type ClassKey = (StmtKind, Vec<AccessKey>);
+
+fn access_key(a: &TableAccess) -> AccessKey {
+    (
+        a.table.0,
+        a.read.iter().map(|x| x.0).collect(),
+        a.write.iter().map(|x| x.0).collect(),
+        a.rows.to_bits(),
+    )
 }
 
 /// An aggregated transaction template.
 struct Template {
     name: Option<String>,
-    stmts: Vec<TemplateStmt>,
+    /// `(statement id, per-execution multiplicity)` of the first
+    /// occurrence, in statement order.
+    stmts: Vec<(usize, f64)>,
     /// Total observed executions (sum of occurrence weights).
     weight: f64,
 }
 
-/// Structural identity of one table access, for aggregation.
-type AccessKey = (u32, Vec<u32>, Vec<u32>, u64);
-
-/// Structural identity of a statement, for aggregation.
-type StmtKey = (crate::stmt::StmtKind, Vec<AccessKey>, u64);
-
-fn stmt_key(s: &TemplateStmt) -> StmtKey {
-    (
-        s.dml.kind,
-        s.dml
-            .accesses
-            .iter()
-            .map(|a| {
-                (
-                    a.table.0,
-                    a.read.iter().map(|x| x.0).collect(),
-                    a.write.iter().map(|x| x.0).collect(),
-                    a.rows.to_bits(),
-                )
-            })
-            .collect(),
-        (s.dml.freq * s.mult).to_bits(),
-    )
+/// The mining state every frontend shares: the statement-shape cache,
+/// the interned statement structures, and the transaction templates
+/// aggregated from them.
+///
+/// [`Miner::shape`] parses a statement only on the first occurrence of
+/// its shape ([`crate::stmt::shape_key`]); every later occurrence costs a
+/// hash lookup of the key. Statement structures are interned once per
+/// shape, so a transaction occurrence is a short list of statement ids
+/// and aggregates by the ids' classes and multiplicities.
+pub(crate) struct Miner<'c> {
+    ctx: FrontendCtx<'c>,
+    shape_ids: HashMap<Box<[u8]>, usize>,
+    shapes: Vec<Shape>,
+    /// Scratch buffer for the shape key of the statement at hand.
+    key: Vec<u8>,
+    /// Distinct statement structures, by statement id.
+    stmts: Vec<ParsedDml>,
+    stmt_ids: HashMap<StmtKey, usize>,
+    /// Aggregation class of each statement id.
+    class_of: Vec<usize>,
+    class_ids: HashMap<ClassKey, usize>,
+    templates: Vec<Template>,
+    template_ids: HashMap<Box<[(usize, u64)]>, usize>,
+    /// Scratch buffer for the aggregation key of the occurrence at hand.
+    occurrence_key: Vec<(usize, u64)>,
+    /// Report counters and diagnostics.
+    pub(crate) stats: MinerStats,
 }
 
-fn occurrence_key(o: &Occurrence) -> Vec<StmtKey> {
-    o.stmts.iter().map(stmt_key).collect()
-}
-
-/// Folds one statement into an occurrence's list: a structurally
-/// identical statement accumulates `mult`, a new one is appended. The
-/// structural identity (kind + accesses) is the single definition both
-/// the log and stats frontends share.
-pub(crate) fn merge_stmt(stmts: &mut Vec<TemplateStmt>, dml: ParsedDml, mult: f64) {
-    if let Some(prev) = stmts
-        .iter_mut()
-        .find(|t| t.dml.kind == dml.kind && t.dml.accesses == dml.accesses)
-    {
-        prev.mult += mult;
-    } else {
-        stmts.push(TemplateStmt { dml, mult });
-    }
-}
-
-/// Merges duplicate statements within one occurrence into multiplicities.
-pub(crate) fn coalesce(stmts: Vec<ParsedDml>) -> Vec<TemplateStmt> {
-    let mut out: Vec<TemplateStmt> = Vec::new();
-    for mut dml in stmts {
-        let mult = std::mem::replace(&mut dml.freq, 1.0); // folded into mult
-        merge_stmt(&mut out, dml, mult);
-    }
-    out
-}
-
-/// Report entries for every estimated (non-annotated) row count of `dml`,
-/// anchored at `line` / `snippet`.
-pub(crate) fn access_estimates(
-    dml: &ParsedDml,
-    line: u32,
-    snippet: &str,
-    schema: &Schema,
-) -> Vec<RowEstimate> {
-    dml.accesses
-        .iter()
-        .filter(|a| matches!(a.basis, RowBasis::PkEquality | RowBasis::Default))
-        .map(|a| RowEstimate {
-            line,
-            table: schema.tables()[a.table.index()].name.clone(),
-            rows: a.rows,
-            pk_equality: a.basis == RowBasis::PkEquality,
-            snippet: snippet.to_string(),
-        })
-        .collect()
-}
-
-/// Deduplicates row-estimate report entries: identical statements
-/// aggregate into one template, so their (identical) estimates must
-/// aggregate into one report entry too, or the report grows with the raw
-/// input instead of the template count.
-#[derive(Default)]
-pub(crate) struct EstimateDedup {
-    seen: std::collections::HashSet<(String, u64, bool, String)>,
-}
-
-impl EstimateDedup {
-    pub(crate) fn commit(&mut self, stats: &mut MinerStats, estimates: Vec<RowEstimate>) {
-        for e in estimates {
-            let key = (
-                e.table.clone(),
-                e.rows.to_bits(),
-                e.pk_equality,
-                e.snippet.clone(),
-            );
-            if self.seen.insert(key) {
-                stats.row_estimates.push(e);
-            }
+impl<'c> Miner<'c> {
+    pub(crate) fn new(ctx: &FrontendCtx<'c>) -> Self {
+        Self {
+            ctx: *ctx,
+            shape_ids: HashMap::new(),
+            shapes: Vec::new(),
+            key: Vec::new(),
+            stmts: Vec::new(),
+            stmt_ids: HashMap::new(),
+            class_of: Vec::new(),
+            class_ids: HashMap::new(),
+            templates: Vec::new(),
+            template_ids: HashMap::new(),
+            occurrence_key: Vec::new(),
+            stats: MinerStats::default(),
         }
     }
-}
 
-/// Aggregates occurrences into templates, applies sampling scale and
-/// confidence thresholds, and builds the workload — the shared tail of
-/// every frontend. One modeled query per table access; read+write
-/// accesses (UPDATE targets) split per the paper's §5.2.
-pub(crate) fn aggregate_and_build(
-    occurrences: Vec<Occurrence>,
-    schema: &Schema,
-    opts: &IngestOptions,
-    stats: &mut MinerStats,
-) -> Result<Workload, IngestError> {
-    let mut templates: Vec<Template> = Vec::new();
-    let mut index: HashMap<Vec<StmtKey>, usize> = HashMap::new();
-    for occ in occurrences {
-        match index.entry(occurrence_key(&occ)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let t = &mut templates[*e.get()];
-                t.weight += occ.weight;
+    /// The shape id of `stmt`, parsing the statement if its shape is new.
+    /// Parse errors surface on the shape's first occurrence, which is the
+    /// first statement that fails.
+    pub(crate) fn shape(&mut self, stmt: &Statement<'_>) -> Result<usize, IngestError> {
+        crate::stmt::shape_key(stmt, &mut self.key);
+        if let Some(&id) = self.shape_ids.get(self.key.as_slice()) {
+            return Ok(id);
+        }
+        let sctx = StmtCtx {
+            schema: self.ctx.schema,
+            pks: self.ctx.primary_keys,
+            strict: self.ctx.opts.strict,
+            default_rows: self.ctx.opts.default_rows,
+        };
+        let kind = match parse_statement(stmt, &sctx)? {
+            Parsed::Begin => ShapeKind::Begin,
+            Parsed::Commit => ShapeKind::Commit,
+            Parsed::Rollback => ShapeKind::Rollback,
+            Parsed::Skip(reason) => ShapeKind::Skip(reason),
+            Parsed::Dml(dml) => ShapeKind::Dml {
+                freq: dml.freq,
+                stmt: self.intern(dml),
+            },
+        };
+        let id = self.shapes.len();
+        self.shapes.push(Shape {
+            kind,
+            estimates_reported: false,
+        });
+        self.shape_ids.insert(self.key.as_slice().into(), id);
+        Ok(id)
+    }
+
+    /// What the parse of `shape` produced.
+    pub(crate) fn kind(&self, shape: usize) -> ShapeKind {
+        self.shapes[shape].kind
+    }
+
+    /// The id of `dml`'s structure, interning it if new.
+    fn intern(&mut self, dml: ParsedDml) -> usize {
+        let key: StmtKey = (
+            dml.kind,
+            dml.accesses
+                .iter()
+                .map(|a| (access_key(a), a.basis))
+                .collect(),
+        );
+        if let Some(&id) = self.stmt_ids.get(&key) {
+            return id;
+        }
+        let class: ClassKey = (dml.kind, key.1.iter().map(|(a, _)| a.clone()).collect());
+        let next_class = self.class_ids.len();
+        let class = *self.class_ids.entry(class).or_insert(next_class);
+        let id = self.stmts.len();
+        self.stmts.push(dml);
+        self.class_of.push(class);
+        self.stmt_ids.insert(key, id);
+        id
+    }
+
+    /// Reports the estimated (non-annotated) row counts of `shape`,
+    /// anchored at `line` / `snippet` — once per shape: every occurrence
+    /// of a shape aggregates into the same template with the same
+    /// estimate, so the report grows with the shapes, not the input.
+    pub(crate) fn report_estimates(
+        &mut self,
+        shape: usize,
+        line: u32,
+        snippet: impl FnOnce() -> String,
+    ) {
+        let entry = &mut self.shapes[shape];
+        let ShapeKind::Dml { stmt, .. } = entry.kind else {
+            return;
+        };
+        if std::mem::replace(&mut entry.estimates_reported, true) {
+            return;
+        }
+        let estimated = self.stmts[stmt]
+            .accesses
+            .iter()
+            .filter(|a| matches!(a.basis, RowBasis::PkEquality | RowBasis::Default));
+        if estimated.clone().next().is_none() {
+            return;
+        }
+        let snippet = snippet();
+        let tables = self.ctx.schema.tables();
+        self.stats
+            .row_estimates
+            .extend(estimated.map(|a| RowEstimate {
+                line,
+                table: tables[a.table.index()].name.clone(),
+                rows: a.rows,
+                pk_equality: a.basis == RowBasis::PkEquality,
+                snippet: snippet.clone(),
+            }));
+    }
+
+    /// Adds one transaction occurrence: `stmts` are `(statement id,
+    /// multiplicity)` pairs (see [`merge_stmt`]), `weight` the observed
+    /// executions it stands for. Occurrences whose statements have equal
+    /// classes and multiplicities, in order, aggregate into one template;
+    /// the first named occurrence names it.
+    pub(crate) fn add_occurrence(
+        &mut self,
+        name: Option<&str>,
+        stmts: &[(usize, f64)],
+        weight: f64,
+    ) {
+        self.occurrence_key.clear();
+        self.occurrence_key.extend(
+            stmts
+                .iter()
+                .map(|&(s, mult)| (self.class_of[s], mult.to_bits())),
+        );
+        match self.template_ids.get(self.occurrence_key.as_slice()) {
+            Some(&t) => {
+                let t = &mut self.templates[t];
+                t.weight += weight;
                 if t.name.is_none() {
-                    t.name = occ.name;
+                    t.name = name.map(str::to_string);
                 }
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(templates.len());
-                templates.push(Template {
-                    name: occ.name,
-                    stmts: occ.stmts,
-                    weight: occ.weight,
+            None => {
+                self.template_ids
+                    .insert(self.occurrence_key.as_slice().into(), self.templates.len());
+                self.templates.push(Template {
+                    name: name.map(str::to_string),
+                    stmts: stmts.to_vec(),
+                    weight,
                 });
             }
         }
     }
 
-    // Sampled input: scale observed counts up to population estimates.
-    let scale = 1.0 / opts.sample_rate;
-    let sampled = opts.sample_rate < 1.0;
+    /// True until the first occurrence is added.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.templates.is_empty()
+    }
 
-    let mut wb = Workload::builder(schema);
-    let mut used_names: HashMap<String, usize> = HashMap::new();
-    for (i, tpl) in templates.iter().enumerate() {
-        let base = tpl.name.clone().unwrap_or_else(|| format!("txn{i}"));
-        let n = used_names.entry(base.clone()).or_insert(0);
-        *n += 1;
-        let txn_name = if *n == 1 { base } else { format!("{base}#{n}") };
-        if sampled {
-            // A statement executing `weight × mult` times can be backed by
-            // fewer observations than the template itself (stats groups
-            // carry per-member counts as mult < 1); the flag follows the
-            // weakest statement, not the template total.
-            let min_observed = tpl
-                .stmts
-                .iter()
-                .map(|ts| tpl.weight * ts.mult)
-                .fold(tpl.weight, f64::min);
-            stats.confidence.push(ConfidenceEntry {
-                txn: txn_name.clone(),
-                observed: tpl.weight,
-                scaled: tpl.weight * scale,
-                level: if min_observed < opts.confidence_min_calls {
-                    ConfidenceLevel::LowConfidence
-                } else {
-                    ConfidenceLevel::Ok
-                },
-            });
-        }
-        let mut qids = Vec::new();
-        for (j, ts) in tpl.stmts.iter().enumerate() {
-            let d = &ts.dml;
-            let freq = tpl.weight * scale * ts.mult;
-            for (k, a) in d.accesses.iter().enumerate() {
-                let table_name = schema.tables()[a.table.index()].name.to_ascii_lowercase();
-                // Single-access statements keep the `txn/j:verb_table`
-                // form; flattened ones append the access index.
-                let qname = if d.accesses.len() == 1 {
-                    format!("{txn_name}/{j}:{}_{}", d.kind.verb(), table_name)
-                } else {
-                    format!("{txn_name}/{j}.{k}:{}_{}", d.kind.verb(), table_name)
-                };
-                if !a.read.is_empty() && !a.write.is_empty() {
-                    let (r, w) =
-                        wb.add_update(&qname, freq, &a.read, &a.write, &[(a.table, a.rows)])?;
-                    qids.push(r);
-                    qids.push(w);
-                } else if a.write.is_empty() {
-                    let spec = vpart_model::workload::QuerySpec::read(&qname)
-                        .access(&a.read)
-                        .frequency(freq)
-                        .default_rows(a.rows);
-                    qids.push(wb.add_query(spec)?);
-                } else {
-                    let spec = vpart_model::workload::QuerySpec::write(&qname)
-                        .access(&a.write)
-                        .frequency(freq)
-                        .default_rows(a.rows);
-                    qids.push(wb.add_query(spec)?);
+    /// Applies sampling scale and confidence thresholds and builds the
+    /// workload from the templates — the shared tail of every frontend.
+    /// One modeled query per table access; read+write accesses (UPDATE
+    /// targets) split per the paper's §5.2.
+    pub(crate) fn build(mut self) -> Result<(Workload, MinerStats), IngestError> {
+        let (schema, opts) = (self.ctx.schema, self.ctx.opts);
+        let stats = &mut self.stats;
+        stats.statement_shapes = self.shapes.len();
+        // Sampled input: scale observed counts up to population estimates.
+        let scale = 1.0 / opts.sample_rate;
+        let sampled = opts.sample_rate < 1.0;
+
+        let mut wb = Workload::builder(schema);
+        let mut used_names: HashMap<String, usize> = HashMap::new();
+        for (i, tpl) in self.templates.iter().enumerate() {
+            let base = tpl.name.clone().unwrap_or_else(|| format!("txn{i}"));
+            let n = used_names.entry(base.clone()).or_insert(0);
+            *n += 1;
+            let txn_name = if *n == 1 { base } else { format!("{base}#{n}") };
+            if sampled {
+                // A statement executing `weight × mult` times can be backed
+                // by fewer observations than the template itself (stats
+                // groups carry per-member counts as mult < 1); the flag
+                // follows the weakest statement, not the template total.
+                let min_observed = tpl
+                    .stmts
+                    .iter()
+                    .map(|&(_, mult)| tpl.weight * mult)
+                    .fold(tpl.weight, f64::min);
+                stats.confidence.push(ConfidenceEntry {
+                    txn: txn_name.clone(),
+                    observed: tpl.weight,
+                    scaled: tpl.weight * scale,
+                    level: if min_observed < opts.confidence_min_calls {
+                        ConfidenceLevel::LowConfidence
+                    } else {
+                        ConfidenceLevel::Ok
+                    },
+                });
+            }
+            let mut qids = Vec::new();
+            for (j, &(s, mult)) in tpl.stmts.iter().enumerate() {
+                let d = &self.stmts[s];
+                let freq = tpl.weight * scale * mult;
+                for (k, a) in d.accesses.iter().enumerate() {
+                    let table_name = schema.tables()[a.table.index()].name.to_ascii_lowercase();
+                    // Single-access statements keep the `txn/j:verb_table`
+                    // form; flattened ones append the access index.
+                    let qname = if d.accesses.len() == 1 {
+                        format!("{txn_name}/{j}:{}_{}", d.kind.verb(), table_name)
+                    } else {
+                        format!("{txn_name}/{j}.{k}:{}_{}", d.kind.verb(), table_name)
+                    };
+                    if !a.read.is_empty() && !a.write.is_empty() {
+                        let (r, w) =
+                            wb.add_update(&qname, freq, &a.read, &a.write, &[(a.table, a.rows)])?;
+                        qids.push(r);
+                        qids.push(w);
+                    } else if a.write.is_empty() {
+                        let spec = vpart_model::workload::QuerySpec::read(&qname)
+                            .access(&a.read)
+                            .frequency(freq)
+                            .default_rows(a.rows);
+                        qids.push(wb.add_query(spec)?);
+                    } else {
+                        let spec = vpart_model::workload::QuerySpec::write(&qname)
+                            .access(&a.write)
+                            .frequency(freq)
+                            .default_rows(a.rows);
+                        qids.push(wb.add_query(spec)?);
+                    }
                 }
             }
+            wb.transaction(&txn_name, &qids)?;
         }
-        wb.transaction(&txn_name, &qids)?;
+        Ok((wb.build()?, self.stats))
     }
-    Ok(wb.build()?)
+}
+
+/// Folds one statement into an occurrence's `(statement id,
+/// multiplicity)` list: a repeated statement accumulates `mult`, a new
+/// one is appended.
+pub(crate) fn merge_stmt(stmts: &mut Vec<(usize, f64)>, stmt: usize, mult: f64) {
+    match stmts.iter_mut().find(|(s, _)| *s == stmt) {
+        Some((_, prev)) => *prev += mult,
+        None => stmts.push((stmt, mult)),
+    }
 }
 
 // ------------------------------------------------- stats-record assembly
@@ -433,21 +539,6 @@ pub(crate) fn aggregate_and_build(
 struct MergedRecord {
     rec: StatsRecord,
     dup: usize,
-}
-
-/// Compacts dump text into a one-line diagnostic snippet.
-pub(crate) fn compact(text: &str) -> String {
-    const MAX: usize = 60;
-    let raw: String = text.split_whitespace().collect::<Vec<_>>().join(" ");
-    if raw.len() <= MAX {
-        raw
-    } else {
-        let mut cut = MAX;
-        while !raw.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        format!("{}…", &raw[..cut])
-    }
 }
 
 /// Rewrites the line carried by a statement-level error to the dump row's
@@ -490,11 +581,9 @@ pub(crate) fn assemble(
     ctx: &FrontendCtx<'_>,
 ) -> Result<(Workload, MinerStats), IngestError> {
     let opts = ctx.opts;
-    let mut stats = MinerStats {
-        statements_seen: batch.rows_seen,
-        skipped: batch.skipped,
-        ..MinerStats::default()
-    };
+    let mut miner = Miner::new(ctx);
+    miner.stats.statements_seen = batch.rows_seen;
+    miner.stats.skipped = batch.skipped;
 
     // Identical (template, group) rows merge first — pg_stat_statements
     // keeps one row per (userid, dbid, query), so the same template can
@@ -522,21 +611,15 @@ pub(crate) fn assemble(
         }
     }
 
-    let sctx = StmtCtx {
-        schema: ctx.schema,
-        pks: ctx.primary_keys,
-        strict: opts.strict,
-        default_rows: opts.default_rows,
-    };
-    let mut estimates = EstimateDedup::default();
-
     // Group membership: records sharing a `txn` label form one
     // transaction occurrence, in dump order; unlabeled records stand
     // alone. Each group member keeps its own calls.
     struct Member {
         calls: f64,
-        stmts: Vec<ParsedDml>,
-        estimates: Vec<RowEstimate>,
+        /// Shapes of the record's DML statements, in order.
+        shapes: Vec<usize>,
+        line: u32,
+        snippet: String,
         dup: usize,
     }
     let mut groups: Vec<(Option<String>, Vec<Member>)> = Vec::new();
@@ -544,7 +627,7 @@ pub(crate) fn assemble(
 
     for m in merged {
         let r = &m.rec;
-        let snippet = compact(&r.template);
+        let snippet = snippet(&r.template);
         let mut text = r.template.trim().to_string();
         if text.is_empty() {
             let e = IngestError::Syntax {
@@ -555,60 +638,64 @@ pub(crate) fn assemble(
             if opts.strict {
                 return Err(e);
             }
-            stats.skip_record(r.line, SkipReason::Unparsable, &snippet);
+            miner
+                .stats
+                .skip_record(r.line, SkipReason::Unparsable, &snippet);
             continue;
         }
         if !text.ends_with(';') {
             text.push(';');
         }
-        let raws = match crate::lexer::split_statements(&text) {
+        // The dump's counters are authoritative: drop any freq=/txn=
+        // hints baked into the template text, and let a measured per-call
+        // row count override a textual rows= hint. rows=/sel= hints
+        // survive when the dump carries no measurement.
+        let measured_rows = r.rows.map(|rows| format!("{rows}"));
+        let raws = match crate::lexer::statements(&text) {
             Ok(raws) => raws,
             Err(e) if opts.strict => return Err(at_line(e, r.line)),
             Err(_) => {
-                stats.skip_record(r.line, SkipReason::Unparsable, &snippet);
+                miner
+                    .stats
+                    .skip_record(r.line, SkipReason::Unparsable, &snippet);
                 continue;
             }
         };
-        let mut member = Member {
-            calls: r.calls,
-            stmts: Vec::new(),
-            estimates: Vec::new(),
-            dup: m.dup,
-        };
+        let mut shapes = Vec::new();
         for mut raw in raws {
-            // The dump's counters are authoritative: drop any freq=/txn=
-            // hints baked into the template text, and let a measured
-            // per-call row count override a textual rows= hint. rows=/sel=
-            // hints survive when the dump carries no measurement.
-            raw.annotations
-                .retain(|a| a.key != "freq" && a.key != "txn");
-            if let Some(rows) = r.rows {
-                raw.annotations.retain(|a| a.key != "rows");
-                raw.annotations.push(crate::lexer::Annotation {
-                    key: "rows".to_string(),
-                    value: format!("{rows}"),
+            raw.annotations.retain(|a| {
+                !a.key.eq_ignore_ascii_case("freq") && !a.key.eq_ignore_ascii_case("txn")
+            });
+            if let Some(rows) = &measured_rows {
+                raw.annotations
+                    .retain(|a| !a.key.eq_ignore_ascii_case("rows"));
+                raw.annotations.push(Annotation {
+                    key: "rows",
+                    value: rows,
                     line: raw.line,
                 });
             }
-            match parse_statement(&raw, &sctx).map_err(|e| at_line(e, r.line))? {
-                Parsed::Dml(mut dml) => {
-                    member
-                        .estimates
-                        .extend(access_estimates(&dml, r.line, &snippet, ctx.schema));
-                    dml.freq = 1.0;
-                    member.stmts.push(dml);
+            let shape = miner.shape(&raw).map_err(|e| at_line(e, r.line))?;
+            match miner.kind(shape) {
+                ShapeKind::Dml { .. } => shapes.push(shape),
+                ShapeKind::Begin | ShapeKind::Commit | ShapeKind::Rollback => {
+                    miner
+                        .stats
+                        .skip_record(r.line, SkipReason::TxnControl, &snippet);
                 }
-                Parsed::Begin | Parsed::Commit | Parsed::Rollback => {
-                    stats.skip_record(r.line, SkipReason::TxnControl, &snippet);
-                }
-                Parsed::Skip(reason) => {
-                    stats.skip_record(r.line, reason, &snippet);
-                }
+                ShapeKind::Skip(reason) => miner.stats.skip_record(r.line, reason, &snippet),
             }
         }
-        if member.stmts.is_empty() {
+        if shapes.is_empty() {
             continue;
         }
+        let member = Member {
+            calls: r.calls,
+            shapes,
+            line: r.line,
+            snippet,
+            dup: m.dup,
+        };
         match &r.group {
             Some(label) => match group_index.entry(label.clone()) {
                 std::collections::hash_map::Entry::Occupied(e) => {
@@ -627,40 +714,37 @@ pub(crate) fn assemble(
     // count, and members execute `calls / weight` times per occurrence —
     // per-statement frequencies (`weight × mult`) stay exactly the
     // observed counts.
-    let mut occurrences: Vec<Occurrence> = Vec::new();
+    let mut stmts: Vec<(usize, f64)> = Vec::new();
     for (name, members) in groups {
         let weight = members.iter().map(|m| m.calls).fold(f64::MIN, f64::max);
-        let mut stmts: Vec<TemplateStmt> = Vec::new();
+        stmts.clear();
         for member in members {
-            stats.statements_ingested += member.dup;
-            estimates.commit(&mut stats, member.estimates);
+            miner.stats.statements_ingested += member.dup;
             let mult = member.calls / weight;
-            for dml in member.stmts {
-                merge_stmt(&mut stmts, dml, mult);
+            for &shape in &member.shapes {
+                miner.report_estimates(shape, member.line, || member.snippet.clone());
+                if let ShapeKind::Dml { stmt, .. } = miner.kind(shape) {
+                    merge_stmt(&mut stmts, stmt, mult);
+                }
             }
         }
-        stats.txn_occurrences = stats
+        miner.stats.txn_occurrences = miner
+            .stats
             .txn_occurrences
             .saturating_add(weight.round() as usize);
-        occurrences.push(Occurrence {
-            name,
-            stmts,
-            weight,
-        });
+        miner.add_occurrence(name.as_deref(), &stmts, weight);
     }
 
-    if occurrences.is_empty() {
-        return Err(if stats.statements_seen == 0 {
+    if miner.is_empty() {
+        return Err(if miner.stats.statements_seen == 0 {
             IngestError::EmptyStats
         } else {
             IngestError::NothingIngested {
-                statements: stats.statements_seen,
+                statements: miner.stats.statements_seen,
             }
         });
     }
-
-    let workload = aggregate_and_build(occurrences, ctx.schema, opts, &mut stats)?;
-    Ok((workload, stats))
+    miner.build()
 }
 
 impl MinerStats {

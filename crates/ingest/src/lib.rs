@@ -85,7 +85,11 @@
 //! Selection predicates count as attribute accesses (as in the hand-built
 //! TPC-C model); `SELECT *` and unpredicated `DELETE` touch every column;
 //! UPDATEs split into read + write sub-queries per the paper's §5.2.
-//! Identical statements/blocks aggregate into query frequencies.
+//! Identical statements/blocks aggregate into query frequencies. The log
+//! is streamed one statement at a time and each distinct statement shape
+//! (the statement with its literal values erased) is parsed once — see
+//! [`frontend::log`]; the report counts the shapes
+//! ([`IngestReport::statement_shapes`]).
 //!
 //! # Row counts
 //!
@@ -283,6 +287,7 @@ pub fn ingest_with(
         statements_seen: stats.statements_seen,
         statements_ingested: stats.statements_ingested,
         txn_occurrences: stats.txn_occurrences,
+        statement_shapes: stats.statement_shapes,
         skipped,
         width_fallbacks: parsed.width_fallbacks,
         row_estimates: stats.row_estimates,

@@ -158,6 +158,9 @@ pub struct IngestReport {
     pub statements_ingested: usize,
     /// Total transaction executions observed (duplicates aggregated).
     pub txn_occurrences: usize,
+    /// Distinct statement shapes the parser ran on (transaction brackets
+    /// included): every other statement reused its shape's parse.
+    pub statement_shapes: usize,
     /// Skipped statements with reasons.
     pub skipped: Vec<Skipped>,
     /// Width guesses made while reading the DDL.
@@ -180,6 +183,7 @@ impl Default for IngestReport {
             statements_seen: 0,
             statements_ingested: 0,
             txn_occurrences: 0,
+            statement_shapes: 0,
             skipped: Vec::new(),
             width_fallbacks: Vec::new(),
             row_estimates: Vec::new(),
@@ -223,8 +227,11 @@ impl fmt::Display for IngestReport {
         )?;
         writeln!(
             f,
-            "log: {}/{} statements ingested over {} transaction executions",
-            self.statements_ingested, self.statements_seen, self.txn_occurrences
+            "log: {}/{} statements ingested over {} transaction executions as {} statement shapes",
+            self.statements_ingested,
+            self.statements_seen,
+            self.txn_occurrences,
+            self.statement_shapes
         )?;
         for w in &self.width_fallbacks {
             writeln!(
@@ -287,6 +294,7 @@ mod tests {
             statements_seen: 10,
             statements_ingested: 8,
             txn_occurrences: 5,
+            statement_shapes: 9,
             skipped: vec![Skipped {
                 line: 4,
                 reason: SkipReason::Subquery,
@@ -310,6 +318,7 @@ mod tests {
         assert!(!r.is_lossless());
         let text = r.to_string();
         assert!(text.contains("8/10 statements"));
+        assert!(text.contains("as 9 statement shapes"));
         assert!(text.contains("UNION"));
         assert!(text.contains("t.c (TEXT) assumed 64 bytes"));
         assert!(text.contains("primary-key equality"));

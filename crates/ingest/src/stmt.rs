@@ -34,7 +34,7 @@
 //! statement.
 
 use crate::error::IngestError;
-use crate::lexer::{RawStatement, Tok, Token};
+use crate::lexer::{Statement, Tok, Token};
 use crate::report::SkipReason;
 use std::collections::{BTreeMap, BTreeSet};
 use vpart_model::{AttrId, Schema, TableId};
@@ -212,7 +212,7 @@ impl<'a> StmtCtx<'a> {
 }
 
 /// Parses one statement against the schema in `ctx`.
-pub fn parse_statement(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
+pub fn parse_statement(stmt: &Statement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
     let head = match stmt.head() {
         Some(h) => h,
         None => return Ok(Parsed::Skip(SkipReason::NotADmlStatement)),
@@ -256,7 +256,7 @@ pub struct StmtStats {
 }
 
 /// Reads the statistics annotations of a statement.
-pub fn statement_stats(stmt: &RawStatement) -> Result<StmtStats, IngestError> {
+pub fn statement_stats(stmt: &Statement) -> Result<StmtStats, IngestError> {
     let parse_pos = |key: &str| -> Result<Option<f64>, IngestError> {
         match stmt.annotation(key) {
             None => Ok(None),
@@ -275,6 +275,55 @@ pub fn statement_stats(stmt: &RawStatement) -> Result<StmtStats, IngestError> {
         freq: parse_pos("freq")?,
         sel: parse_pos("sel")?,
     })
+}
+
+/// Writes the *shape key* of `stmt` into `key`: everything
+/// [`parse_statement`] reads of a statement, so two statements with equal
+/// keys parse to equal outcomes.
+///
+/// The key holds the token sequence — token kinds, identifier spellings
+/// and punctuation — with literal values erased but their kind kept
+/// (number, string, parameter), followed by the values of the `rows=`,
+/// `sel=` and `freq=` annotations. Literal values may be erased because
+/// the parser only asks *whether* a token is a constant (to bind a key
+/// column), never what it is; line numbers and other annotations
+/// (`txn=`) are left out because only diagnostics and the log miner read
+/// them, per occurrence. Error messages do quote literals and lines, but
+/// a statement that fails fails on its shape's first occurrence, which is
+/// parsed in full.
+///
+/// The encoding is injective: every token starts with a kind byte,
+/// identifiers and annotation values end in `0xFF` (a byte UTF-8 text
+/// never contains), and punctuation is one UTF-8 character.
+pub(crate) fn shape_key(stmt: &Statement<'_>, key: &mut Vec<u8>) {
+    const END: u8 = 0xFF;
+    key.clear();
+    for t in &stmt.tokens {
+        match t.tok {
+            Tok::Ident(s) => {
+                key.push(b'i');
+                key.extend_from_slice(s.as_bytes());
+                key.push(END);
+            }
+            Tok::Number(_) => key.push(b'n'),
+            Tok::Str(_) => key.push(b's'),
+            Tok::Param => key.push(b'p'),
+            Tok::Punct(c) => {
+                key.push(b'c');
+                key.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+            }
+        }
+    }
+    for name in ["rows", "sel", "freq"] {
+        match stmt.annotation(name) {
+            None => key.push(b'-'),
+            Some(value) => {
+                key.push(b'=');
+                key.extend_from_slice(value.as_bytes());
+                key.push(END);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------- helpers
@@ -376,7 +425,7 @@ fn syntax_at(toks: &[Token], i: usize, fallback_line: u32, expected: &str) -> In
     }
 }
 
-fn syntax(stmt: &RawStatement, i: usize, expected: &str) -> IngestError {
+fn syntax(stmt: &Statement, i: usize, expected: &str) -> IngestError {
     syntax_at(&stmt.tokens, i, stmt.line, expected)
 }
 
@@ -435,7 +484,7 @@ fn parse_table_ref(
     if toks.get(j).is_some_and(|t| t.tok.is_kw("AS")) {
         match toks.get(j + 1).map(|t| &t.tok) {
             Some(Tok::Ident(a)) => {
-                alias = Some(a.clone());
+                alias = Some(a.to_string());
                 j += 2;
             }
             _ => return Err(syntax_at(toks, j + 1, fallback_line, "an alias after AS")),
@@ -443,7 +492,7 @@ fn parse_table_ref(
     } else if let Some(Tok::Ident(a)) = toks.get(j).map(|t| &t.tok) {
         // Bare alias — anything that is not a clause keyword.
         if !is_keyword(a) {
-            alias = Some(a.clone());
+            alias = Some(a.to_string());
             j += 1;
         }
     }
@@ -610,7 +659,7 @@ fn scan_region(
                             }
                         }
                         Some(Tok::Punct('*')) => {
-                            let q = name.clone();
+                            let q = name.to_string();
                             let r = scopes
                                 .iter()
                                 .find_map(|level| {
@@ -743,11 +792,11 @@ fn subquery_ranges(toks: &[Token], fallback_line: u32) -> Result<Vec<(usize, usi
 }
 
 /// `toks` minus the given inclusive index ranges.
-fn strip_ranges(toks: &[Token], ranges: &[(usize, usize)]) -> Vec<Token> {
+fn strip_ranges<'a>(toks: &[Token<'a>], ranges: &[(usize, usize)]) -> Vec<Token<'a>> {
     toks.iter()
         .enumerate()
         .filter(|(i, _)| !ranges.iter().any(|&(s, e)| *i >= s && *i <= e))
-        .map(|(_, t)| t.clone())
+        .map(|(_, t)| *t)
         .collect()
 }
 
@@ -949,7 +998,7 @@ fn parse_select_scope(
                     .map(|r| ctx.schema.tables()[r.table.index()].name.clone())
                     .collect::<Vec<_>>()
                     .join(", "),
-                column: name.clone(),
+                column: name.to_string(),
                 line: outer_toks[j].line,
             });
         }
@@ -1047,7 +1096,7 @@ struct WriteTarget {
 /// collected read tables in first-touch order. Tables with no referenced
 /// attributes are dropped; an empty result is a [`SkipReason::NoColumns`].
 fn build_dml(
-    stmt: &RawStatement,
+    stmt: &Statement,
     kind: StmtKind,
     write_target: Option<WriteTarget>,
     acc: Accesses,
@@ -1119,7 +1168,7 @@ fn build_dml(
 
 // ----------------------------------------------------------- per-statement
 
-fn parse_select(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
+fn parse_select(stmt: &Statement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
     let toks = &stmt.tokens;
     if find_kw(toks, "FROM").is_none() && subquery_ranges(toks, stmt.line)?.is_empty() {
         return Err(syntax(stmt, toks.len(), "FROM"));
@@ -1129,7 +1178,7 @@ fn parse_select(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestErro
     build_dml(stmt, StmtKind::Select, None, acc, ctx)
 }
 
-fn parse_insert(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
+fn parse_insert(stmt: &Statement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
     let toks = &stmt.tokens;
     if !toks.get(1).is_some_and(|t| t.tok.is_kw("INTO")) {
         return Err(syntax(stmt, 1, "INTO"));
@@ -1222,7 +1271,7 @@ fn parse_insert(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestErro
     )
 }
 
-fn parse_update(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
+fn parse_update(stmt: &Statement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
     let toks = &stmt.tokens;
     let ranges = subquery_ranges(toks, stmt.line)?;
     let outer = strip_ranges(toks, &ranges);
@@ -1307,7 +1356,7 @@ fn parse_update(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestErro
     )
 }
 
-fn parse_delete(stmt: &RawStatement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
+fn parse_delete(stmt: &Statement, ctx: &StmtCtx) -> Result<Parsed, IngestError> {
     let toks = &stmt.tokens;
     let ranges = subquery_ranges(toks, stmt.line)?;
     let outer = strip_ranges(toks, &ranges);
@@ -1393,7 +1442,7 @@ fn merge(acc: &mut Accesses, sub: Accesses) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::split_statements;
+    use crate::lexer::statements;
 
     fn schema() -> Schema {
         let mut b = Schema::builder();
@@ -1416,7 +1465,7 @@ mod tests {
     }
 
     fn parse_with(sql: &str, strict: bool) -> Result<Parsed, IngestError> {
-        let sts = split_statements(sql).unwrap();
+        let sts = statements(sql).unwrap();
         let s = schema();
         let p = pks();
         let ctx = StmtCtx {
@@ -1598,7 +1647,7 @@ mod tests {
         b.table("a", &[("id", 4.0), ("x", 4.0)]).unwrap();
         b.table("b", &[("id", 4.0), ("y", 4.0)]).unwrap();
         let s = b.build().unwrap();
-        let sts = split_statements("SELECT x, y FROM a JOIN b USING (id);").unwrap();
+        let sts = statements("SELECT x, y FROM a JOIN b USING (id);").unwrap();
         let ctx = StmtCtx {
             schema: &s,
             pks: &[],
@@ -1674,7 +1723,7 @@ mod tests {
         b.table("a", &[("id", 4.0), ("x", 4.0)]).unwrap();
         b.table("b", &[("id", 4.0), ("y", 4.0)]).unwrap();
         let s = b.build().unwrap();
-        let sts = split_statements("SELECT id FROM a JOIN b ON x = y;").unwrap();
+        let sts = statements("SELECT id FROM a JOIN b ON x = y;").unwrap();
         let ctx = StmtCtx {
             schema: &s,
             pks: &[],
@@ -1739,7 +1788,7 @@ mod tests {
             default_rows: 5.0,
         };
         let acc = |sql: &str| {
-            let sts = split_statements(sql).unwrap();
+            let sts = statements(sql).unwrap();
             match parse_statement(&sts[0], &ctx).unwrap() {
                 Parsed::Dml(d) => d.accesses.into_iter().next().unwrap(),
                 other => panic!("expected DML, got {other:?}"),

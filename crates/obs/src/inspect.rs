@@ -2,9 +2,10 @@
 //! operator-facing summary (`vpart inspect <trace.jsonl>`).
 //!
 //! The summarizer understands the span names the instrumented layers
-//! emit — `sa_solve`/`sa_chain` (per-chain convergence), `qp_solve`
-//! (branch & bound work), `watch_epoch` (online timeline) and
-//! `apply_migration` — and degrades gracefully: unknown records still
+//! emit — `ingest` (statements, shapes and templates of a SQL input),
+//! `sa_solve`/`sa_chain` (per-chain convergence), `qp_solve` (branch &
+//! bound work), `watch_epoch` (online timeline) and `apply_migration` —
+//! and degrades gracefully: unknown records still
 //! count toward the totals, and sections with no matching spans are
 //! omitted.
 
@@ -129,6 +130,22 @@ pub struct QpRow {
     pub wall_ms: f64,
 }
 
+/// One `ingest` span (a SQL log or statistics dump turned into an
+/// instance), flattened.
+#[derive(Debug, Clone, Default)]
+pub struct IngestRow {
+    /// Statements seen in the input.
+    pub statements: u64,
+    /// Distinct statement shapes the parser ran on.
+    pub shapes: u64,
+    /// Transaction templates built.
+    pub templates: u64,
+    /// Size of the input text in bytes.
+    pub log_bytes: u64,
+    /// Wall time in milliseconds.
+    pub wall_ms: f64,
+}
+
 /// A parsed and aggregated trace.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
@@ -146,6 +163,8 @@ pub struct TraceSummary {
     pub alerts: Vec<AlertEvent>,
     /// QP solve rows, in trace order.
     pub qp: Vec<QpRow>,
+    /// Ingestion rows, in trace order.
+    pub ingests: Vec<IngestRow>,
     /// Total bytes moved across `apply_migration`, `migrate_batched` and
     /// `rollback_migration` spans.
     pub migration_bytes: f64,
@@ -248,6 +267,13 @@ impl TraceSummary {
                     objective6: f(&fields, "objective6"),
                     wall_ms,
                 }),
+                "ingest" => summary.ingests.push(IngestRow {
+                    statements: u(&fields, "statements"),
+                    shapes: u(&fields, "shapes"),
+                    templates: u(&fields, "templates"),
+                    log_bytes: u(&fields, "log_bytes"),
+                    wall_ms,
+                }),
                 "apply_migration" => {
                     summary.migration_bytes += f(&fields, "bytes_moved");
                 }
@@ -296,6 +322,14 @@ impl TraceSummary {
             "trace: {} records ({} spans, {} events)",
             self.records, self.spans, self.events
         );
+        for i in &self.ingests {
+            let _ = writeln!(
+                out,
+                "ingest: {} statements as {} statement shapes -> {} templates, \
+                 {} input bytes, wall_ms={:.1}",
+                i.statements, i.shapes, i.templates, i.log_bytes, i.wall_ms
+            );
+        }
         if !self.chains.is_empty() {
             let _ = writeln!(out, "\nper-chain convergence");
             let _ = writeln!(

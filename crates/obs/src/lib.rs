@@ -58,7 +58,7 @@ pub use alerts::{
     HealthMonitor, HealthSnapshot, Severity, DEFAULT_HEALTH_CAPACITY,
 };
 pub use flight::DEFAULT_FLIGHT_CAPACITY;
-pub use inspect::{AlertEvent, TraceSummary};
+pub use inspect::{AlertEvent, IngestRow, TraceSummary};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, WALL_SECONDS_BUCKETS};
 pub use series::{SeriesSample, TimeSeriesStore};
 pub use trace::{FieldValue, Record, Span};

@@ -229,7 +229,10 @@ fn ingest_options(flags: &HashMap<String, String>) -> Result<IngestOptions, Stri
 /// Ingests `--schema` plus either `--log` or `--stats`/`--stats-format`
 /// per the shared flag conventions (the name defaults to the schema path;
 /// `--lenient`/`--text-width`/`--sample-rate` apply).
-fn run_ingest(flags: &HashMap<String, String>) -> Result<vpart::ingest::Ingestion, String> {
+fn run_ingest(
+    flags: &HashMap<String, String>,
+    obs: &Obs,
+) -> Result<vpart::ingest::Ingestion, String> {
     let schema_path = flags
         .get("schema")
         .ok_or_else(|| "--schema is required".to_owned())?;
@@ -239,42 +242,77 @@ fn run_ingest(flags: &HashMap<String, String>) -> Result<vpart::ingest::Ingestio
     if !flags.contains_key("name") {
         opts = opts.with_name(schema_path.clone());
     }
-    match (flags.get("log"), flags.get("stats")) {
-        (Some(_), Some(_)) => Err("--log and --stats are mutually exclusive".to_owned()),
-        (Some(log_path), None) => {
-            let log = std::fs::read_to_string(log_path)
-                .map_err(|e| format!("cannot read {log_path}: {e}"))?;
-            vpart::ingest::ingest(&schema_sql, &log, &opts).map_err(|e| e.to_string())
-        }
-        (None, Some(stats_path)) => {
-            let format_name = flags.get("stats-format").map(String::as_str);
-            let format = match format_name {
-                None => StatsFormat::PgssCsv,
-                Some(name) => StatsFormat::parse(name).ok_or_else(|| {
-                    format!("unknown --stats-format {name:?} (pgss-csv|pgss-json|perf-schema)")
-                })?,
-            };
-            let dump = std::fs::read_to_string(stats_path)
-                .map_err(|e| format!("cannot read {stats_path}: {e}"))?;
-            vpart::ingest::ingest_stats(&schema_sql, &dump, format, &opts)
-                .map_err(|e| e.to_string())
-        }
-        (None, None) => Err("--schema also needs --log or --stats".to_owned()),
+    let path = match (flags.get("log"), flags.get("stats")) {
+        (Some(_), Some(_)) => return Err("--log and --stats are mutually exclusive".to_owned()),
+        (Some(path), None) | (None, Some(path)) => path,
+        (None, None) => return Err("--schema also needs --log or --stats".to_owned()),
+    };
+    let format = stats_format(flags)?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    traced_ingest(obs, &schema_sql, &text, format, &opts).map_err(|e| e.to_string())
+}
+
+/// The `--stats-format` of a `--stats` run (`None` for `--log`).
+fn stats_format(flags: &HashMap<String, String>) -> Result<Option<StatsFormat>, String> {
+    if !flags.contains_key("stats") {
+        return Ok(None);
+    }
+    match flags.get("stats-format").map(String::as_str) {
+        None => Ok(Some(StatsFormat::PgssCsv)),
+        Some(name) => StatsFormat::parse(name).map(Some).ok_or_else(|| {
+            format!("unknown --stats-format {name:?} (pgss-csv|pgss-json|perf-schema)")
+        }),
     }
 }
 
+/// Ingests a query log (`format` = `None`) or a statistics dump inside an
+/// `ingest` trace span carrying the statements seen, the statement shapes
+/// parsed, the templates built and the input's size in bytes.
+fn traced_ingest(
+    obs: &Obs,
+    schema_sql: &str,
+    text: &str,
+    format: Option<StatsFormat>,
+    opts: &IngestOptions,
+) -> Result<vpart::ingest::Ingestion, vpart::ingest::IngestError> {
+    let span = obs.span_begin("ingest", &[]);
+    let out = match format {
+        None => vpart::ingest::ingest(schema_sql, text, opts),
+        Some(format) => vpart::ingest::ingest_stats(schema_sql, text, format, opts),
+    };
+    let (statements, shapes, templates) = out.as_ref().map_or((0, 0, 0), |o| {
+        (
+            o.report.statements_seen,
+            o.report.statement_shapes,
+            o.report.txns,
+        )
+    });
+    obs.span_end(
+        span,
+        &[
+            ("statements", statements.into()),
+            ("shapes", shapes.into()),
+            ("templates", templates.into()),
+            ("log_bytes", text.len().into()),
+        ],
+    );
+    out
+}
+
 /// Ingests for `solve`, printing the loss/confidence report to stderr.
-fn ingest_from_flags(flags: &HashMap<String, String>) -> Result<Instance, String> {
-    let out = run_ingest(flags)?;
+fn ingest_from_flags(flags: &HashMap<String, String>, obs: &Obs) -> Result<Instance, String> {
+    let out = run_ingest(flags, obs)?;
     if !out.report.is_lossless() || out.report.has_diagnostics() {
         eprint!("{}", out.report);
     }
     Ok(out.instance)
 }
 
-fn load_instance(flags: &HashMap<String, String>) -> Result<Instance, String> {
+/// The `--instance` catalog name or file, or the `--schema` ingestion
+/// (traced on `obs`).
+fn load_instance(flags: &HashMap<String, String>, obs: &Obs) -> Result<Instance, String> {
     if flags.contains_key("schema") {
-        return ingest_from_flags(flags);
+        return ingest_from_flags(flags, obs);
     }
     let name = flags
         .get("instance")
@@ -446,7 +484,7 @@ fn cmd_list(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_ingest(flags: HashMap<String, String>) -> Result<(), String> {
-    let out = run_ingest(&flags)?;
+    let out = run_ingest(&flags, &Obs::disabled())?;
     let json = serde_json::to_string_pretty(&out.instance).map_err(|e| e.to_string())?;
     match flags.get("out") {
         Some(path) => {
@@ -479,6 +517,7 @@ fn cmd_ingest(flags: HashMap<String, String>) -> Result<(), String> {
                 "statements_seen": r.statements_seen,
                 "statements_ingested": r.statements_ingested,
                 "txn_occurrences": r.txn_occurrences,
+                "statement_shapes": r.statement_shapes,
                 "skipped": r.skipped.len(),
                 "width_fallbacks": r.width_fallbacks.len(),
                 "row_estimates": r.row_estimates.len(),
@@ -504,7 +543,8 @@ fn cmd_ingest(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
-    let ins = load_instance(&flags)?;
+    let obs = obs_from_flags(&flags);
+    let ins = load_instance(&flags, &obs)?;
     let sites: usize = get(&flags, "sites", 2)?;
     let cost = cost_config(&flags)?;
     let seed: u64 = get(&flags, "seed", 0xC0FFEE)?;
@@ -519,7 +559,6 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     let probe_levels: usize = get(&flags, "probe-levels", 0)?;
     let algo_name = flags.get("algo").map(String::as_str).unwrap_or("sa");
     let disjoint = flags.contains_key("disjoint");
-    let obs = obs_from_flags(&flags);
 
     let algorithm = match algo_name {
         "qp" => {
@@ -655,7 +694,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
-    let ins = load_instance(&flags)?;
+    let ins = load_instance(&flags, &Obs::disabled())?;
     let sites: usize = get(&flags, "sites", 2)?;
     let rounds: usize = get(&flags, "rounds", 5)?;
     let seed: u64 = get(&flags, "seed", 0xC0FFEE)?;
@@ -731,7 +770,8 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
     };
     use vpart::online::{OnlineWorkload, TrackerConfig};
 
-    let ins = load_instance(&flags)?;
+    let obs = obs_from_flags(&flags);
+    let ins = load_instance(&flags, &obs)?;
     let sites: usize = get(&flags, "sites", 2)?;
     let seed: u64 = get(&flags, "seed", 42)?;
     let threads: usize = get(&flags, "threads", 4)?;
@@ -753,7 +793,6 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         faults.arm_specs(specs).map_err(|e| e.to_string())?;
     }
     let cost = cost_config(&flags)?;
-    let obs = obs_from_flags(&flags);
 
     let part = match flags.get("partitioning") {
         Some(path) => load_partitioning(path, &ins)?,
@@ -948,22 +987,12 @@ fn ingest_phase(
     schema_sql: &str,
     path: &str,
     flags: &HashMap<String, String>,
+    obs: &Obs,
 ) -> Result<Instance, String> {
     let opts = ingest_options(flags)?.with_name(path.to_string());
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let out = match flags.get("stats") {
-        Some(_) => {
-            let format = match flags.get("stats-format").map(String::as_str) {
-                None => StatsFormat::PgssCsv,
-                Some(name) => StatsFormat::parse(name).ok_or_else(|| {
-                    format!("unknown --stats-format {name:?} (pgss-csv|pgss-json|perf-schema)")
-                })?,
-            };
-            vpart::ingest::ingest_stats(schema_sql, &text, format, &opts)
-        }
-        None => vpart::ingest::ingest(schema_sql, &text, &opts),
-    }
-    .map_err(|e| format!("{path}: {e}"))?;
+    let out = traced_ingest(obs, schema_sql, &text, stats_format(flags)?, &opts)
+        .map_err(|e| format!("{path}: {e}"))?;
     if !out.report.is_lossless() || out.report.has_diagnostics() {
         eprint!("{}", out.report);
     }
@@ -1062,7 +1091,7 @@ fn cmd_watch(flags: HashMap<String, String>) -> Result<(), String> {
         );
     }
     for phase_path in &phases {
-        let phase = ingest_phase(&schema_sql, phase_path, &flags)?;
+        let phase = ingest_phase(&schema_sql, phase_path, &flags, &obs)?;
         for _ in 0..interval {
             watcher
                 .tracker_mut()

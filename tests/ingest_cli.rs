@@ -21,6 +21,8 @@ fn vpart(args: &[&str]) -> std::process::Output {
 #[test]
 fn solve_from_schema_and_log() {
     // The acceptance path: schema + log straight into solve.
+    let trace =
+        std::env::temp_dir().join(format!("vpart_{}_ingest_solve.jsonl", std::process::id()));
     let out = vpart(&[
         "solve",
         "--schema",
@@ -30,12 +32,31 @@ fn solve_from_schema_and_log() {
         "--sites",
         "2",
         "--json",
+        "--trace-out",
+        trace.to_str().unwrap(),
     ]);
     assert!(
         out.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // The trace carries one `ingest` span sized by the log it read.
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let summary = vpart::obs::TraceSummary::from_jsonl(&text).expect("trace parses");
+    assert_eq!(summary.ingests.len(), 1);
+    let ingest = &summary.ingests[0];
+    let log_bytes = std::fs::metadata(data("queries.log")).unwrap().len();
+    assert_eq!(
+        (
+            ingest.statements,
+            ingest.shapes,
+            ingest.templates,
+            ingest.log_bytes
+        ),
+        (19, 23, 11, log_bytes)
+    );
+    let _ = std::fs::remove_file(&trace);
     let json: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&out.stdout).unwrap().trim()).unwrap();
     assert_eq!(json.get("sites").and_then(|v| v.as_u64()), Some(2));
@@ -81,6 +102,10 @@ fn ingest_writes_a_loadable_instance_file() {
     assert!(
         stderr.contains("ingested 5 tables"),
         "report on stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("over 11 transaction executions as 23 statement shapes"),
+        "shape count on stderr: {stderr}"
     );
 
     // The file round-trips through the model's serde format...
@@ -139,6 +164,12 @@ fn ingest_json_report_flattens_multi_table_statements() {
             .unwrap()
             > 0,
         "PK-driven estimates are reported: {report}"
+    );
+    // 19 DML shapes plus three differently annotated BEGINs and a COMMIT.
+    assert_eq!(
+        report.get("statement_shapes").and_then(|v| v.as_u64()),
+        Some(23),
+        "{report}"
     );
 }
 

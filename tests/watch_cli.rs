@@ -144,9 +144,25 @@ fn watch_records_trace_metrics_and_epoch_timings() {
         vpart::obs::TraceSummary::from_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     assert_eq!(summary.epochs.len(), 4);
     assert!(summary.migration_bytes > 0.0);
+    // One `ingest` span per phase file, sized by the file it read.
+    let phase_bytes: Vec<u64> = ["queries.log", "queries_drifted.log"]
+        .iter()
+        .map(|f| std::fs::metadata(data(f)).unwrap().len())
+        .collect();
+    let ingested: Vec<(u64, u64, u64)> = summary
+        .ingests
+        .iter()
+        .map(|i| (i.statements, i.templates, i.log_bytes))
+        .collect();
+    assert_eq!(
+        ingested,
+        vec![(19, 11, phase_bytes[0]), (19, 11, phase_bytes[1])]
+    );
+    assert!(summary.ingests.iter().all(|i| i.shapes > 0));
     let inspected = vpart(&["inspect", trace.to_str().unwrap()]);
     assert!(inspected.status.success());
     let rendered = String::from_utf8_lossy(&inspected.stdout).into_owned();
+    assert!(rendered.contains("ingest: 19 statements as"));
     assert!(rendered.contains("epoch timeline"));
     assert!(rendered.contains("total migrated:"));
 
