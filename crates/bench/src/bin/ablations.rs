@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation studies for five solver design choices (README "Design
+//! notes" lists the modelling ones):
 //!
 //! 1. reasonable-cuts reduction on/off (QP model size & time),
 //! 2. linearization-constraint pruning on/off,

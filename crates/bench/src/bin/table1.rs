@@ -117,7 +117,7 @@ fn main() {
     let widths = [1usize, 28, 8, 8, 8, 8, 8, 8];
 
     println!(
-        "Table 1 — parameter influence on SA cost (units of 10^6, p = 8, λ = 0.9 (see DESIGN.md))"
+        "Table 1 — parameter influence on SA cost (units of 10^6, p = 8, λ = 0.9 (see CostConfig::lambda))"
     );
     println!("defaults marked with *; columns per class: |S| = 1, 2, 3\n");
     println!(

@@ -28,7 +28,7 @@ fn main() {
 
     let widths = [14usize, 6, 5, 4, 11, 11, 11, 11];
     println!("Table 6 — local (p=0) vs remote (p=8) placement, replication allowed");
-    println!("costs ×10^5, λ = 0.9 (see DESIGN.md)\n");
+    println!("costs ×10^5, λ = 0.9 (see CostConfig::lambda)\n");
     println!(
         "{}",
         row(

@@ -48,7 +48,7 @@ pub struct CostConfig {
     /// results are not reproducible (replication would *raise* reported
     /// cost). We therefore read formula (6) literally but default to the
     /// behavioral equivalent of the paper's intent: λ = 0.9 (cost 90%,
-    /// load tie-break 10%). See DESIGN.md §6.
+    /// load tie-break 10%). README "Design notes" points here.
     pub lambda: f64,
     /// Write accounting strategy (see [`WriteAccounting`]).
     pub write_accounting: WriteAccounting,

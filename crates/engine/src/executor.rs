@@ -486,17 +486,18 @@ impl<'a> Deployment<'a> {
         faults: &mut FaultInjector,
         max_batches: usize,
     ) -> Result<BatchedMigrationReport, EngineError> {
+        let fingerprint = plan.fingerprint();
         let span = self.obs.span_begin(
             "migrate_batched",
             &[
                 ("batches", plan.n_batches().into()),
-                ("fingerprint", plan.fingerprint().into()),
+                ("fingerprint", fingerprint.into()),
                 ("rows_per_fragment", self.rows_per_fragment.into()),
             ],
         );
         let resumed = !journal.is_empty();
         if resumed {
-            self.check_journal_matches(plan, journal)?;
+            self.check_journal_matches(plan, journal, fingerprint)?;
             let st = journal.state();
             if st.rolling_back || st.rolled_back {
                 return Err(EngineError::MigrationMismatch {
@@ -524,7 +525,7 @@ impl<'a> Deployment<'a> {
                 });
             }
             journal.append(JournalRecord::Start {
-                fingerprint: plan.fingerprint(),
+                fingerprint,
                 batches: plan.n_batches(),
                 rows_per_fragment: self.rows_per_fragment,
             })?;
@@ -536,6 +537,7 @@ impl<'a> Deployment<'a> {
         let mut installs = 0usize;
         let mut drops = 0usize;
         let mut moves = 0usize;
+        let mut touched = Vec::new();
         for (k, batch) in plan.batches.iter().enumerate().skip(start) {
             if applied >= max_batches {
                 break;
@@ -543,12 +545,13 @@ impl<'a> Deployment<'a> {
             journal.append(JournalRecord::BatchBegin { batch: k })?;
             let mut batch_bytes = 0.0f64;
             for op in &batch.ops {
-                let (b, i, d, m) = self.apply_op(op, true);
+                let (b, i, d, m) = self.apply_op(op, true, &mut touched);
                 batch_bytes += b;
                 installs += i;
                 drops += d;
                 moves += m;
             }
+            self.rebuild_touched(&mut touched);
             if self.obs.is_enabled() {
                 self.obs.event(
                     "migration_batch.applied",
@@ -648,11 +651,12 @@ impl<'a> Deployment<'a> {
         journal: &mut MigrationJournal,
         faults: &mut FaultInjector,
     ) -> Result<BatchedMigrationReport, EngineError> {
+        let fingerprint = plan.fingerprint();
         let span = self.obs.span_begin(
             "rollback_migration",
             &[
                 ("batches", plan.n_batches().into()),
-                ("fingerprint", plan.fingerprint().into()),
+                ("fingerprint", fingerprint.into()),
             ],
         );
         if journal.is_empty() {
@@ -660,7 +664,7 @@ impl<'a> Deployment<'a> {
                 what: "rollback without a started migration",
             });
         }
-        self.check_journal_matches(plan, journal)?;
+        self.check_journal_matches(plan, journal, fingerprint)?;
         let st = journal.state();
         if st.complete {
             return Err(EngineError::MigrationMismatch {
@@ -680,17 +684,19 @@ impl<'a> Deployment<'a> {
         let mut installs = 0usize;
         let mut drops = 0usize;
         let mut moves = 0usize;
+        let mut touched = Vec::new();
         while journal.state().boundary() > 0 {
             let k = journal.state().boundary() - 1;
             journal.append(JournalRecord::UndoBegin { batch: k })?;
             let mut undo_bytes = 0.0f64;
             for op in plan.batches[k].ops.iter().rev() {
-                let (b, i, d, m) = self.apply_op(op, false);
+                let (b, i, d, m) = self.apply_op(op, false, &mut touched);
                 undo_bytes += b;
                 installs += i;
                 drops += d;
                 moves += m;
             }
+            self.rebuild_touched(&mut touched);
             if self.obs.is_enabled() {
                 self.obs.event(
                     "migration_batch.undone",
@@ -812,34 +818,37 @@ impl<'a> Deployment<'a> {
         h
     }
 
-    /// Applies one micro-op (or its inverse) to the partitioning and the
-    /// physical fragments, returning `(metered bytes, installs, drops,
-    /// moves)`. Data-shipping ops — forward installs, undo re-installs —
-    /// meter `w_a × rows`, the exact expression the plan priced.
-    fn apply_op(&mut self, op: &MigrationOp, forward: bool) -> (f64, usize, usize, usize) {
+    /// Applies one micro-op (or its inverse) to the logical partitioning,
+    /// noting the `(site, table)` fragment it changes in `touched`, and
+    /// returns `(metered bytes, installs, drops, moves)`. Data-shipping
+    /// ops — forward installs, undo re-installs — meter `w_a × rows`, the
+    /// exact expression the plan priced. Storage catches up once per batch
+    /// in [`rebuild_touched`](Self::rebuild_touched).
+    fn apply_op(
+        &mut self,
+        op: &MigrationOp,
+        forward: bool,
+        touched: &mut Vec<(SiteId, TableId)>,
+    ) -> (f64, usize, usize, usize) {
         let schema = self.instance.schema();
         match *op {
             MigrationOp::Install { attr, site, .. } => {
-                let table = schema.table_of(attr);
+                touched.push((site, schema.table_of(attr)));
                 if forward {
                     self.partitioning.add_replica(attr, site);
-                    self.rebuild_fragment(site, table);
                     (schema.width(attr) * self.rows_per_fragment as f64, 1, 0, 0)
                 } else {
                     self.partitioning.remove_replica(attr, site);
-                    self.rebuild_fragment(site, table);
                     (0.0, 0, 1, 0)
                 }
             }
             MigrationOp::Drop { attr, site } => {
-                let table = schema.table_of(attr);
+                touched.push((site, schema.table_of(attr)));
                 if forward {
                     self.partitioning.remove_replica(attr, site);
-                    self.rebuild_fragment(site, table);
                     (0.0, 0, 1, 0)
                 } else {
                     self.partitioning.add_replica(attr, site);
-                    self.rebuild_fragment(site, table);
                     (schema.width(attr) * self.rows_per_fragment as f64, 1, 0, 0)
                 }
             }
@@ -849,6 +858,19 @@ impl<'a> Deployment<'a> {
                 (0.0, 0, 0, 1)
             }
         }
+    }
+
+    /// Rebuilds each fragment a batch touched once, from the logical
+    /// partitioning the whole batch produced, and empties `touched`. A
+    /// fragment depends only on the attributes placed on it, so its
+    /// payload is the one an op-by-op rebuild would leave.
+    fn rebuild_touched(&mut self, touched: &mut Vec<(SiteId, TableId)>) {
+        touched.sort_unstable();
+        touched.dedup();
+        for &(site, table) in touched.iter() {
+            self.rebuild_fragment(site, table);
+        }
+        touched.clear();
     }
 
     /// Re-derives the `(site, table)` fragment from the current logical
@@ -875,9 +897,10 @@ impl<'a> Deployment<'a> {
         &self,
         plan: &BatchedMigrationPlan,
         journal: &MigrationJournal,
+        fingerprint: u64,
     ) -> Result<(), EngineError> {
         match journal.fingerprint() {
-            Some(fp) if fp == plan.fingerprint() => {}
+            Some(fp) if fp == fingerprint => {}
             Some(_) => {
                 return Err(EngineError::CorruptJournal {
                     what: "journal fingerprint does not match the plan".to_string(),
@@ -1387,6 +1410,56 @@ mod tests {
             assert_eq!(dep.state_fingerprint(), clean_fp, "crash at batch {k}");
             assert_eq!(journal.state().bytes_committed, clean_bytes);
             assert_eq!(report.bytes_moved, clean_bytes, "meter never double-counts");
+        }
+    }
+
+    /// Storage catches up once per batch, before the fault point: a crash
+    /// after forward batch `k` (or after undoing batch `k`) leaves exactly
+    /// the fragments a fresh deployment of that boundary materializes.
+    #[test]
+    fn storage_at_every_fault_point_matches_a_fresh_boundary_deployment() {
+        let ins = instance();
+        let (from, to) = relocation_pair(&ins);
+        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 16)
+            .unwrap()
+            .batched(&ins, 1.0)
+            .unwrap();
+        let n = plan.n_batches();
+        assert!(n >= 2);
+        let fresh = |k: usize| {
+            Deployment::new(&ins, &plan.boundary(k), 16)
+                .unwrap()
+                .state_fingerprint()
+        };
+        for k in 1..=n {
+            let mut dep = Deployment::new(&ins, &from, 16).unwrap();
+            let mut journal = MigrationJournal::new();
+            let mut faults = FaultInjector::new(1);
+            faults
+                .arm_spec(&format!("migration.batch:nth={k}"))
+                .unwrap();
+            dep.migrate_batched(&plan, &mut journal, &mut faults)
+                .unwrap_err();
+            assert_eq!(dep.state_fingerprint(), fresh(k), "forward batch {k}");
+        }
+        for j in 1..=n {
+            let mut dep = Deployment::new(&ins, &from, 16).unwrap();
+            let mut journal = MigrationJournal::new();
+            let mut faults = FaultInjector::new(1);
+            faults
+                .arm_spec(&format!("migration.rollback:nth={j}"))
+                .unwrap();
+            dep.migrate_batched(&plan, &mut journal, &mut FaultInjector::disabled())
+                .unwrap();
+            // A completed journal cannot roll back; replay it up to the
+            // last commit instead.
+            let mut open = MigrationJournal::new();
+            for rec in &journal.records()[..journal.records().len() - 1] {
+                open.append(*rec).unwrap();
+            }
+            dep.rollback_migration(&plan, &mut open, &mut faults)
+                .unwrap_err();
+            assert_eq!(dep.state_fingerprint(), fresh(n - j), "undo {j}");
         }
     }
 

@@ -193,6 +193,8 @@ impl JournalState {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MigrationJournal {
     records: Vec<JournalRecord>,
+    /// The state `records` imply, advanced by every append.
+    state: JournalState,
 }
 
 impl MigrationJournal {
@@ -219,33 +221,32 @@ impl MigrationJournal {
     pub fn append(&mut self, rec: JournalRecord) -> Result<(), EngineError> {
         self.check_next(rec)?;
         self.records.push(rec);
+        let st = &mut self.state;
+        match rec {
+            JournalRecord::Start { .. }
+            | JournalRecord::BatchBegin { .. }
+            | JournalRecord::UndoBegin { .. } => {}
+            JournalRecord::BatchCommit { bytes, .. } => {
+                st.committed += 1;
+                st.bytes_committed += bytes;
+            }
+            JournalRecord::Complete { .. } => st.complete = true,
+            JournalRecord::RollbackBegin => st.rolling_back = true,
+            JournalRecord::UndoCommit { bytes, .. } => {
+                st.undone += 1;
+                st.bytes_undone += bytes;
+            }
+            JournalRecord::RolledBack => {
+                st.rolling_back = false;
+                st.rolled_back = true;
+            }
+        }
         Ok(())
     }
 
-    /// The derived durable state.
+    /// The derived durable state: the records folded in append order.
     pub fn state(&self) -> JournalState {
-        let mut st = JournalState::default();
-        for rec in &self.records {
-            match *rec {
-                JournalRecord::Start { .. } | JournalRecord::BatchBegin { .. } => {}
-                JournalRecord::BatchCommit { bytes, .. } => {
-                    st.committed += 1;
-                    st.bytes_committed += bytes;
-                }
-                JournalRecord::Complete { .. } => st.complete = true,
-                JournalRecord::RollbackBegin => st.rolling_back = true,
-                JournalRecord::UndoBegin { .. } => {}
-                JournalRecord::UndoCommit { bytes, .. } => {
-                    st.undone += 1;
-                    st.bytes_undone += bytes;
-                }
-                JournalRecord::RolledBack => {
-                    st.rolling_back = false;
-                    st.rolled_back = true;
-                }
-            }
-        }
-        st
+        self.state
     }
 
     /// The plan fingerprint pinned by the `Start` record, if any.
@@ -311,7 +312,7 @@ impl MigrationJournal {
         let bad = |what: &str| EngineError::CorruptJournal {
             what: what.to_string(),
         };
-        let st = self.state();
+        let st = self.state;
         if st.terminal() {
             return Err(bad("record after a terminal Complete/RolledBack"));
         }
@@ -425,6 +426,62 @@ mod tests {
         assert_eq!(st.bytes_committed, 32.0);
         assert!(!st.terminal());
         assert_eq!(j.fingerprint(), Some(0xFEED));
+    }
+
+    /// The state kept current by `append` equals a fold over the records,
+    /// after every record of a migration that commits, rolls back and
+    /// finishes.
+    #[test]
+    fn appended_state_equals_a_fold_over_the_records() {
+        let fold = |records: &[JournalRecord]| {
+            let mut st = JournalState::default();
+            for rec in records {
+                match *rec {
+                    JournalRecord::BatchCommit { bytes, .. } => {
+                        st.committed += 1;
+                        st.bytes_committed += bytes;
+                    }
+                    JournalRecord::UndoCommit { bytes, .. } => {
+                        st.undone += 1;
+                        st.bytes_undone += bytes;
+                    }
+                    JournalRecord::Complete { .. } => st.complete = true,
+                    JournalRecord::RollbackBegin => st.rolling_back = true,
+                    JournalRecord::RolledBack => {
+                        st.rolling_back = false;
+                        st.rolled_back = true;
+                    }
+                    _ => {}
+                }
+            }
+            st
+        };
+        let mut j = MigrationJournal::new();
+        let mut records = vec![JournalRecord::Start {
+            fingerprint: 1,
+            batches: 3,
+            rows_per_fragment: 4,
+        }];
+        for batch in 0..3 {
+            records.push(JournalRecord::BatchBegin { batch });
+            records.push(JournalRecord::BatchCommit {
+                batch,
+                bytes: 0.1 * (batch + 1) as f64,
+            });
+        }
+        records.push(JournalRecord::RollbackBegin);
+        for batch in (0..3).rev() {
+            records.push(JournalRecord::UndoBegin { batch });
+            records.push(JournalRecord::UndoCommit { batch, bytes: 0.3 });
+        }
+        records.push(JournalRecord::RolledBack);
+        for (i, &rec) in records.iter().enumerate() {
+            j.append(rec).unwrap();
+            assert_eq!(j.state(), fold(&records[..=i]), "after record {i}");
+        }
+        // A rejected record leaves the state alone.
+        assert!(j.append(JournalRecord::RollbackBegin).is_err());
+        assert_eq!(j.state(), fold(&records));
     }
 
     #[test]

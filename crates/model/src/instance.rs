@@ -153,6 +153,52 @@ impl Instance {
         })
     }
 
+    /// A copy named `name` whose queries run at `frequencies`, one per
+    /// query in id order. The schema, the workload's structure and the
+    /// derived incidence do not depend on frequencies and are copied as
+    /// they are, so this costs a clone, not a [`Workload`] rebuild. Each
+    /// frequency passes the workload builder's check (positive and
+    /// finite): the first query that fails yields the builder's
+    /// [`ModelError::InvalidFrequency`]. Any other count than one
+    /// frequency per query is a [`ModelError::DimensionMismatch`].
+    pub fn with_frequencies<S: Into<String>>(
+        &self,
+        name: S,
+        frequencies: impl IntoIterator<Item = f64>,
+    ) -> Result<Self, ModelError> {
+        let mut workload = self.workload.clone();
+        let n = workload.n_queries();
+        let mut given = frequencies.into_iter();
+        for (i, q) in workload.queries_mut().iter_mut().enumerate() {
+            let f = given.next().ok_or(ModelError::DimensionMismatch {
+                what: "query frequencies",
+                expected: n,
+                got: i,
+            })?;
+            if !(f > 0.0) || !f.is_finite() {
+                return Err(ModelError::InvalidFrequency {
+                    query: q.name.clone(),
+                    frequency: f,
+                });
+            }
+            q.frequency = f;
+        }
+        let extra = given.count();
+        if extra > 0 {
+            return Err(ModelError::DimensionMismatch {
+                what: "query frequencies",
+                expected: n,
+                got: n + extra,
+            });
+        }
+        Ok(Self {
+            name: name.into(),
+            schema: self.schema.clone(),
+            workload,
+            derived: self.derived.clone(),
+        })
+    }
+
     /// Instance name (used in reports and bench tables).
     pub fn name(&self) -> &str {
         &self.name
@@ -344,5 +390,34 @@ mod tests {
     fn decision_cells() {
         let ins = tiny();
         assert_eq!(ins.decision_cells(3), (4 + 2) * 3);
+    }
+
+    #[test]
+    fn with_frequencies_equals_a_rebuild_at_those_frequencies() {
+        let ins = tiny();
+        let re = ins.with_frequencies("re", [5.0, 0.25]).unwrap();
+        let mut workload = ins.workload().clone();
+        workload.queries_mut()[0].frequency = 5.0;
+        workload.queries_mut()[1].frequency = 0.25;
+        let rebuilt = Instance::new("re", ins.schema().clone(), workload).unwrap();
+        assert_eq!(re, rebuilt);
+        assert_eq!(re.weight(AttrId(0), QueryId(0)), 4.0 * 5.0);
+
+        // The builder's frequency check, naming the first bad query.
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            match ins.with_frequencies("x", [1.0, bad]) {
+                Err(ModelError::InvalidFrequency { query, frequency }) => {
+                    assert_eq!(query, "q1");
+                    assert_eq!(frequency.to_bits(), bad.to_bits());
+                }
+                other => panic!("expected InvalidFrequency, got {other:?}"),
+            }
+        }
+        for freqs in [vec![1.0], vec![1.0, 2.0, 3.0]] {
+            assert!(matches!(
+                ins.with_frequencies("x", freqs),
+                Err(ModelError::DimensionMismatch { expected: 2, .. })
+            ));
+        }
     }
 }

@@ -16,6 +16,31 @@
 //! so callers should first relabel the new partitioning to maximize overlap
 //! with the old one (see `vpart_online::migrate::canonicalize_against`) —
 //! a renumbered-but-identical layout then produces an empty plan.
+//!
+//! # Batching
+//!
+//! [`MigrationPlan::batched`] orders the plan's micro-ops into
+//! rate-limited, crash-safe batches. Its scheduler is event-driven, so a
+//! plan costs time in proportion to its own ops and the read sets they
+//! touch, not to `installs × pending ops`:
+//!
+//! * each pending transaction move counts the attributes it reads that
+//!   are still missing at its destination, and waits in the lists of
+//!   those `(attribute, site)` pairs;
+//! * each `(attribute, site)` pair that an install or drop touches counts
+//!   the transactions homed on the site that read the attribute;
+//! * an install wakes only the moves waiting on its pair, and then
+//!   re-checks only the drops it may have unblocked: drops of the same
+//!   attribute (one more replica) and drops whose reader count fell
+//!   because a woken move left their site.
+//!
+//! One pass in plan order reaches the same fixpoint that rescanning every
+//! pending op until nothing changes would: moves change no placement, so
+//! a move never makes another move safe, and a drop only removes a
+//! replica, so it never makes a move or another drop safe. Batch
+//! boundaries are checked with two counters kept current by every op:
+//! (transaction, read attribute) pairs missing at the transaction's home
+//! site, and attributes with no replica.
 
 use crate::error::ModelError;
 use crate::ids::{AttrId, SiteId, TableId, TxnId};
@@ -185,6 +210,14 @@ impl MigrationPlan {
     /// terminates: after all installs every move is safe (the target
     /// validates), and after all moves every drop is safe. A tampered plan
     /// that cannot make progress yields [`ModelError::InconsistentPlan`].
+    ///
+    /// The scheduler is event-driven (see the [module docs](self)): the
+    /// moves and drops applied after an install are exactly those a full
+    /// rescan of every pending op would find safe, in the same order, so
+    /// the batches depend only on the plan and the budget. Each boundary
+    /// is checked in O(1) by two counters; with the `debug-invariants`
+    /// feature the full [`Partitioning::validate`] also runs there and
+    /// must agree.
     pub fn batched(
         &self,
         instance: &Instance,
@@ -204,126 +237,23 @@ impl MigrationPlan {
         self.from.validate(instance, false)?;
         self.to.validate(instance, false)?;
 
-        let schema = instance.schema();
-        let rows = self.rows_per_fragment.max(1) as f64;
-
-        // Pending micro-ops in the plan's deterministic (site, table, attr)
-        // order.
-        let mut installs: Vec<(AttrId, SiteId, f64)> = Vec::new();
-        let mut drops: Vec<(AttrId, SiteId)> = Vec::new();
-        for ch in &self.changes {
-            for &a in &ch.installed {
-                if schema.table_of(a) != ch.table {
-                    return Err(ModelError::InconsistentPlan {
-                        what: "fragment change lists an attribute of another table",
-                    });
-                }
-                installs.push((a, ch.site, schema.width(a) * rows));
-            }
-            for &a in &ch.dropped {
-                drops.push((a, ch.site));
-            }
-        }
-        let mut moves: Vec<TxnMove> = self.txn_moves.clone();
-
-        // Which transactions read each attribute (drop-safety lookups).
-        let mut readers: Vec<Vec<TxnId>> = vec![Vec::new(); instance.n_attrs()];
-        for t in (0..instance.n_txns()).map(TxnId::from_index) {
-            for &a in instance.read_set(t) {
-                readers[a.index()].push(t);
-            }
-        }
-
-        // Installs some pending re-homing is waiting on come first (they
-        // unblock free moves, which in turn unblock free drops); ties keep
-        // the plan's (site, table, attr) order. Stable sort → deterministic.
-        let needed_by_move = |a: AttrId, s: SiteId| {
-            self.txn_moves
-                .iter()
-                .any(|mv| mv.to == s && instance.read_set(mv.txn).contains(&a))
-        };
-        installs.sort_by_key(|&(a, s, _)| usize::from(!needed_by_move(a, s)));
-
-        let mut state = self.from.clone();
+        let mut sched = Scheduler::new(self, instance)?;
         let mut batches = Vec::new();
-        // Bytes currently stored beyond the incumbent layout (installs add,
-        // drops reclaim): the transient dual-resident width.
-        let mut stored_delta = 0.0_f64;
         let mut peak = 0.0_f64;
-
-        // Applies every currently-safe free op (moves, then drops) until a
-        // fixpoint; each application can unblock further frees.
-        let drain_free = |state: &mut Partitioning,
-                          moves: &mut Vec<TxnMove>,
-                          drops: &mut Vec<(AttrId, SiteId)>,
-                          ops: &mut Vec<MigrationOp>,
-                          stored_delta: &mut f64| loop {
-            let mut progressed = false;
-            moves.retain(|mv| {
-                let safe = instance
-                    .read_set(mv.txn)
-                    .iter()
-                    .all(|&a| state.has_attr(a, mv.to));
-                if safe {
-                    state.move_txn(mv.txn, mv.to);
-                    ops.push(MigrationOp::MoveTxn {
-                        txn: mv.txn,
-                        from: mv.from,
-                        to: mv.to,
-                    });
-                    progressed = true;
-                }
-                !safe
-            });
-            drops.retain(|&(a, s)| {
-                let replicated = state.attr_sites(a).any(|site| site != s);
-                let safe = replicated && readers[a.index()].iter().all(|&t| state.site_of(t) != s);
-                if safe {
-                    state.remove_replica(a, s);
-                    *stored_delta -= schema.width(a) * rows;
-                    ops.push(MigrationOp::Drop { attr: a, site: s });
-                    progressed = true;
-                }
-                !safe
-            });
-            if !progressed {
-                break;
-            }
-        };
-
+        // Free ops that are safe before any install open the first batch.
+        let mut ops = Vec::new();
+        sched.drain(&mut ops);
         loop {
-            let mut ops = Vec::new();
             let mut install_bytes = 0.0_f64;
-            drain_free(
-                &mut state,
-                &mut moves,
-                &mut drops,
-                &mut ops,
-                &mut stored_delta,
-            );
-            while let Some(&(a, s, b)) = installs.first() {
+            while let Some(&(_, _, b, _)) = sched.installs.get(sched.next_install) {
                 if install_bytes > 0.0 && install_bytes + b > batch_bytes {
                     break;
                 }
-                installs.remove(0);
-                state.add_replica(a, s);
-                stored_delta += b;
                 install_bytes += b;
-                ops.push(MigrationOp::Install {
-                    attr: a,
-                    site: s,
-                    bytes: b,
-                });
-                drain_free(
-                    &mut state,
-                    &mut moves,
-                    &mut drops,
-                    &mut ops,
-                    &mut stored_delta,
-                );
+                sched.install(&mut ops);
             }
             if ops.is_empty() {
-                if installs.is_empty() && moves.is_empty() && drops.is_empty() {
+                if sched.next_install == sched.installs.len() && sched.pending == 0 {
                     break;
                 }
                 return Err(ModelError::InconsistentPlan {
@@ -332,21 +262,28 @@ impl MigrationPlan {
             }
             // Every boundary must be servable: a crash here leaves a layout
             // the deployment can keep running on.
-            state
-                .validate(instance, false)
-                .map_err(|_| ModelError::InconsistentPlan {
+            let valid = sched.unread == 0 && sched.unplaced == 0;
+            #[cfg(feature = "debug-invariants")]
+            assert_eq!(
+                valid,
+                sched.state.validate(instance, false).is_ok(),
+                "boundary counters disagree with Partitioning::validate"
+            );
+            if !valid {
+                return Err(ModelError::InconsistentPlan {
                     what: "batch boundary is not a valid partitioning",
-                })?;
-            let transient = stored_delta.max(0.0);
+                });
+            }
+            let transient = sched.stored_delta.max(0.0);
             peak = peak.max(transient);
             batches.push(MigrationBatch {
-                ops,
+                ops: std::mem::take(&mut ops),
                 bytes: install_bytes,
                 transient_bytes: transient,
             });
         }
 
-        if state != self.to {
+        if sched.state != self.to {
             return Err(ModelError::InconsistentPlan {
                 what: "applying all batches does not reach the target partitioning",
             });
@@ -357,6 +294,327 @@ impl MigrationPlan {
             batches,
             peak_transient_bytes: peak,
         })
+    }
+}
+
+/// The slot of pair `(a, s)`: a scan of `a`'s few slots.
+fn find_slot(slots: &[(AttrId, SiteId)], first: &[u32], a: AttrId, s: SiteId) -> Option<usize> {
+    let from = first[a.index()] as usize;
+    let of_a = &slots[from..first[a.index() + 1] as usize];
+    of_a.iter().position(|&(_, x)| x == s).map(|i| from + i)
+}
+
+/// Per-slot lists in one flat array: slot `k` holds
+/// `values[start[k]..start[k + 1]]`, in the order the entries came.
+struct SlotLists {
+    start: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl SlotLists {
+    fn new(n_slots: usize, entries: &[(usize, u32)]) -> Self {
+        let mut start = vec![0_u32; n_slots + 1];
+        for &(k, _) in entries {
+            start[k + 1] += 1;
+        }
+        for k in 0..n_slots {
+            start[k + 1] += start[k];
+        }
+        let mut values = vec![0; entries.len()];
+        let mut fill = start[..n_slots].to_vec();
+        for &(k, v) in entries {
+            values[fill[k] as usize] = v;
+            fill[k] += 1;
+        }
+        Self { start, values }
+    }
+
+    fn get(&self, k: usize) -> &[u32] {
+        &self.values[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
+/// The state of one [`MigrationPlan::batched`] call: the layout so far
+/// and the pending ops, indexed by the `(attribute, site)` pairs they wait
+/// on. Only pairs that some install or drop touches get a *slot*; every
+/// other pair keeps its placement for the whole plan, so nothing waiting
+/// on it can change. Slots, lists and counters are sized by the plan,
+/// plus one slot offset per attribute.
+struct Scheduler<'a> {
+    instance: &'a Instance,
+    /// Rows per fragment, as the byte estimates count them.
+    rows: f64,
+    state: Partitioning,
+    /// `(attr, site, bytes, slot)` in application order.
+    installs: Vec<(AttrId, SiteId, f64, usize)>,
+    next_install: usize,
+    moves: &'a [TxnMove],
+    /// Per move: attributes its transaction reads that are missing at its
+    /// destination.
+    missing: Vec<u32>,
+    moved: Vec<bool>,
+    /// `(attr, site, slot)` in plan order.
+    drops: Vec<(AttrId, SiteId, usize)>,
+    dropped: Vec<bool>,
+    /// Moves and drops not yet applied.
+    pending: usize,
+    /// The slots' pairs, sorted: the slot ids of attribute `a` are
+    /// `first[a]..first[a + 1]`, ascending by site.
+    slots: Vec<(AttrId, SiteId)>,
+    first: Vec<u32>,
+    /// Per slot: transactions homed on the site that read the attribute.
+    readers: Vec<u32>,
+    /// Per slot: moves to the site whose transaction reads the attribute.
+    waiters: SlotLists,
+    /// Per slot: drops of the attribute from the site.
+    slot_drops: SlotLists,
+    /// (transaction, read attribute) pairs missing at the home site.
+    unread: usize,
+    /// Attributes with no replica.
+    unplaced: usize,
+    /// Bytes stored beyond the incumbent layout (installs add, drops
+    /// reclaim): the transient dual-resident width.
+    stored_delta: f64,
+    /// Drops to re-check after an install (reused buffer).
+    candidates: Vec<u32>,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(plan: &'a MigrationPlan, instance: &'a Instance) -> Result<Self, ModelError> {
+        let schema = instance.schema();
+        let from = &plan.from;
+        let n_sites = from.n_sites();
+        let rows = plan.rows_per_fragment.max(1) as f64;
+
+        // Deserialized plans may name ids the layout has no room for.
+        let out_of_range = ModelError::InconsistentPlan {
+            what: "plan names an attribute, site or transaction outside the instance",
+        };
+        // Pending micro-ops in the plan's deterministic (site, table, attr)
+        // order.
+        let mut installs = Vec::new();
+        let mut drops = Vec::new();
+        for ch in &plan.changes {
+            let mut attrs = ch.installed.iter().chain(&ch.dropped);
+            if ch.site.index() >= n_sites || attrs.any(|a| a.index() >= instance.n_attrs()) {
+                return Err(out_of_range);
+            }
+            for &a in &ch.installed {
+                if schema.table_of(a) != ch.table {
+                    return Err(ModelError::InconsistentPlan {
+                        what: "fragment change lists an attribute of another table",
+                    });
+                }
+                installs.push((a, ch.site, schema.width(a) * rows));
+            }
+            drops.extend(ch.dropped.iter().map(|&a| (a, ch.site)));
+        }
+        let mut moves = plan.txn_moves.iter();
+        if moves.any(|mv| mv.txn.index() >= instance.n_txns() || mv.to.index() >= n_sites) {
+            return Err(out_of_range);
+        }
+        let mut slots: Vec<(AttrId, SiteId)> = installs
+            .iter()
+            .map(|&(a, s, _)| (a, s))
+            .chain(drops.iter().copied())
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        let n_slots = slots.len();
+        let mut first = vec![0_u32; instance.n_attrs() + 1];
+        for &(a, _) in &slots {
+            first[a.index() + 1] += 1;
+        }
+        for a in 0..instance.n_attrs() {
+            first[a + 1] += first[a];
+        }
+        let slot = |a: AttrId, s: SiteId| find_slot(&slots, &first, a, s);
+
+        let mut readers = vec![0_u32; n_slots];
+        for t in (0..instance.n_txns()).map(TxnId::from_index) {
+            let home = from.site_of(t);
+            for &a in instance.read_set(t) {
+                if let Some(k) = slot(a, home) {
+                    readers[k] += 1;
+                }
+            }
+        }
+        let mut missing = Vec::with_capacity(plan.txn_moves.len());
+        let mut waits = Vec::new();
+        for (m, mv) in plan.txn_moves.iter().enumerate() {
+            let mut n = 0;
+            for &a in instance.read_set(mv.txn) {
+                n += u32::from(!from.has_attr(a, mv.to));
+                if let Some(k) = slot(a, mv.to) {
+                    waits.push((k, m as u32));
+                }
+            }
+            missing.push(n);
+        }
+        let waiters = SlotLists::new(n_slots, &waits);
+        let drops: Vec<(AttrId, SiteId, usize)> = drops
+            .into_iter()
+            .map(|(a, s)| (a, s, slot(a, s).expect("every drop has a slot")))
+            .collect();
+        let by_slot: Vec<(usize, u32)> = drops
+            .iter()
+            .enumerate()
+            .map(|(d, &(_, _, k))| (k, d as u32))
+            .collect();
+        let slot_drops = SlotLists::new(n_slots, &by_slot);
+
+        // Installs some pending re-homing waits on come first (they unblock
+        // free moves, which in turn unblock free drops); ties keep the
+        // plan's (site, table, attr) order.
+        let (mut installs, later): (Vec<_>, Vec<_>) = installs
+            .into_iter()
+            .map(|(a, s, b)| (a, s, b, slot(a, s).expect("every install has a slot")))
+            .partition(|&(_, _, _, k)| !waiters.get(k).is_empty());
+        installs.extend(later);
+
+        Ok(Self {
+            instance,
+            rows,
+            state: from.clone(),
+            installs,
+            next_install: 0,
+            moves: &plan.txn_moves,
+            moved: vec![false; missing.len()],
+            missing,
+            dropped: vec![false; drops.len()],
+            pending: plan.txn_moves.len() + drops.len(),
+            drops,
+            slots,
+            first,
+            readers,
+            waiters,
+            slot_drops,
+            // `from` validated: nothing is unread or unplaced.
+            unread: 0,
+            unplaced: 0,
+            stored_delta: 0.0,
+            candidates: Vec::new(),
+        })
+    }
+
+    fn slot(&self, a: AttrId, s: SiteId) -> Option<usize> {
+        find_slot(&self.slots, &self.first, a, s)
+    }
+
+    fn drop_is_safe(&self, d: usize) -> bool {
+        let (a, s, k) = self.drops[d];
+        !self.dropped[d]
+            && self.readers[k] == 0
+            && self.state.replication(a) > usize::from(self.state.has_attr(a, s))
+    }
+
+    /// Applies every free op that is safe now: each ready move, then each
+    /// safe drop, in plan order. Opens the first batch.
+    fn drain(&mut self, ops: &mut Vec<MigrationOp>) {
+        for m in 0..self.moves.len() {
+            if self.missing[m] == 0 {
+                self.apply_move(m, ops);
+            }
+        }
+        for d in 0..self.drops.len() {
+            if self.drop_is_safe(d) {
+                self.apply_drop(d, ops);
+            }
+        }
+        self.candidates.clear();
+    }
+
+    /// Applies the next install, then the moves it made ready and the
+    /// drops it unblocked.
+    fn install(&mut self, ops: &mut Vec<MigrationOp>) {
+        let (a, s, b, k) = self.installs[self.next_install];
+        self.next_install += 1;
+        let arrives = !self.state.has_attr(a, s);
+        if arrives {
+            self.unplaced -= usize::from(self.state.replication(a) == 0);
+            self.unread -= self.readers[k] as usize;
+            for &m in self.waiters.get(k) {
+                self.missing[m as usize] -= 1;
+            }
+        }
+        self.state.add_replica(a, s);
+        self.stored_delta += b;
+        ops.push(MigrationOp::Install {
+            attr: a,
+            site: s,
+            bytes: b,
+        });
+        if !arrives {
+            return;
+        }
+        // Waiter lists are in plan order, and before this install every
+        // pending move still missed something: the ready ones are exactly
+        // those missing nothing now.
+        for i in 0..self.waiters.get(k).len() {
+            let m = self.waiters.get(k)[i] as usize;
+            if !self.moved[m] && self.missing[m] == 0 {
+                self.apply_move(m, ops);
+            }
+        }
+        // Drops of `a` gained a replica elsewhere; `apply_move` queued the
+        // drops whose reader count fell. No other pending drop can have
+        // become safe.
+        for slot in self.first[a.index()]..self.first[a.index() + 1] {
+            let drops = self.slot_drops.get(slot as usize);
+            self.candidates.extend_from_slice(drops);
+        }
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.sort_unstable();
+        candidates.dedup();
+        for &d in &candidates {
+            if self.drop_is_safe(d as usize) {
+                self.apply_drop(d as usize, ops);
+            }
+        }
+        candidates.clear();
+        self.candidates = candidates;
+    }
+
+    /// Re-homes move `m`'s transaction (safe: it misses nothing there).
+    fn apply_move(&mut self, m: usize, ops: &mut Vec<MigrationOp>) {
+        let mv = self.moves[m];
+        let home = self.state.site_of(mv.txn);
+        for &a in self.instance.read_set(mv.txn) {
+            self.unread -= usize::from(!self.state.has_attr(a, home));
+            self.unread += usize::from(!self.state.has_attr(a, mv.to));
+            if let Some(k) = self.slot(a, home) {
+                self.readers[k] -= 1;
+                self.candidates.extend_from_slice(self.slot_drops.get(k));
+            }
+            if let Some(k) = self.slot(a, mv.to) {
+                self.readers[k] += 1;
+            }
+        }
+        self.state.move_txn(mv.txn, mv.to);
+        self.moved[m] = true;
+        self.pending -= 1;
+        ops.push(MigrationOp::MoveTxn {
+            txn: mv.txn,
+            from: mv.from,
+            to: mv.to,
+        });
+    }
+
+    /// Deletes drop `d`'s replica (safe: replicated, and unread there).
+    fn apply_drop(&mut self, d: usize, ops: &mut Vec<MigrationOp>) {
+        let (a, s, k) = self.drops[d];
+        if self.state.has_attr(a, s) {
+            self.state.remove_replica(a, s);
+            self.unplaced += usize::from(self.state.replication(a) == 0);
+            self.unread += self.readers[k] as usize;
+            for &m in self.waiters.get(k) {
+                self.missing[m as usize] += 1;
+            }
+        }
+        self.stored_delta -= self.instance.schema().width(a) * self.rows;
+        self.dropped[d] = true;
+        self.pending -= 1;
+        ops.push(MigrationOp::Drop { attr: a, site: s });
     }
 }
 
@@ -771,6 +1029,96 @@ mod tests {
         let (ins2, plan2) = shop_plan(11);
         let d = plan2.batched(&ins2, f64::INFINITY).unwrap();
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    /// The error a tampered plan must yield: `InconsistentPlan` with `what`.
+    fn assert_inconsistent(ins: &Instance, plan: &MigrationPlan, what: &str) {
+        for budget in [1.0, 64.0, f64::INFINITY] {
+            match plan.batched(ins, budget) {
+                Err(ModelError::InconsistentPlan { what: got }) => assert_eq!(got, what),
+                other => panic!("expected InconsistentPlan({what}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn removing_an_install_a_move_needs_is_inconsistent() {
+        let (ins, mut plan) = shop_plan(10);
+        // T1's move to site 1 waits on c arriving there; without that
+        // install neither the move nor the drop of c on site 0 can run.
+        plan.changes.retain(|c| c.installed.is_empty());
+        assert_inconsistent(
+            &ins,
+            &plan,
+            "no safe micro-op available; plan cannot make progress",
+        );
+    }
+
+    #[test]
+    fn an_extra_drop_that_misses_the_target_is_inconsistent() {
+        let ins = instance();
+        let from = Partitioning::single_site(&ins, 2).unwrap();
+        // The target keeps a replica of c on site 0 next to T1's new home.
+        let mut to = Partitioning::minimal_for_x(&ins, vec![SiteId(0), SiteId(1)], 2).unwrap();
+        to.add_replica(AttrId(2), SiteId(0));
+        let mut plan = MigrationPlan::between(&ins, &from, &to, 10).unwrap();
+        assert_eq!(plan.drops(), 0);
+        // Dropping that replica is safe once T1 has moved, so it runs and
+        // the last boundary misses the target.
+        plan.changes.push(FragmentChange {
+            site: SiteId(0),
+            table: TableId(1),
+            installed: Vec::new(),
+            dropped: vec![AttrId(2)],
+            bytes: 0.0,
+        });
+        assert_inconsistent(
+            &ins,
+            &plan,
+            "applying all batches does not reach the target partitioning",
+        );
+        // Dropping the only replica of a (read by T0) is never safe.
+        plan.changes.last_mut().unwrap().table = TableId(0);
+        plan.changes.last_mut().unwrap().dropped = vec![AttrId(0)];
+        assert_inconsistent(
+            &ins,
+            &plan,
+            "no safe micro-op available; plan cannot make progress",
+        );
+    }
+
+    #[test]
+    fn a_change_listing_another_tables_attribute_is_inconsistent() {
+        let (ins, mut plan) = shop_plan(10);
+        let change = plan
+            .changes
+            .iter_mut()
+            .find(|c| !c.installed.is_empty())
+            .unwrap();
+        // c belongs to S (table 1); claim it for R.
+        change.table = TableId(0);
+        assert_inconsistent(
+            &ins,
+            &plan,
+            "fragment change lists an attribute of another table",
+        );
+    }
+
+    #[test]
+    fn ids_outside_the_instance_are_inconsistent_not_a_panic() {
+        let (ins, plan) = shop_plan(10);
+        let what = "plan names an attribute, site or transaction outside the instance";
+        let mut bad_site = plan.clone();
+        bad_site.changes[0].site = SiteId(2);
+        let mut bad_attr = plan.clone();
+        bad_attr.changes[0].dropped.push(AttrId(3));
+        let mut bad_txn = plan.clone();
+        bad_txn.txn_moves[0].txn = TxnId(2);
+        let mut bad_move = plan;
+        bad_move.txn_moves[0].to = SiteId(5);
+        for tampered in [bad_site, bad_attr, bad_txn, bad_move] {
+            assert_inconsistent(&ins, &tampered, what);
+        }
     }
 
     #[test]

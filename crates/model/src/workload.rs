@@ -113,6 +113,11 @@ impl Workload {
         &self.queries
     }
 
+    /// Mutable queries, for rewrites that keep the workload valid.
+    pub(crate) fn queries_mut(&mut self) -> &mut [Query] {
+        &mut self.queries
+    }
+
     /// All transactions in id order.
     pub fn transactions(&self) -> &[Transaction] {
         &self.transactions

@@ -26,6 +26,21 @@
 //! Raw execution streams — e.g. `vpart_engine::Trace::executions` — feed
 //! the tracker through [`OnlineWorkload::observe_executions`].
 //!
+//! # Snapshots
+//!
+//! A snapshot's structure — query names, kinds, attribute sets, row
+//! counts, transactions, and the incidence an [`Instance`] derives from
+//! them — changes only when a template registers; between registrations
+//! only the frequencies move. The tracker therefore keeps a *skeleton*
+//! instance, built once through [`Workload::builder`] after each
+//! registration (lazily, at the next snapshot), and
+//! [`OnlineWorkload::snapshot`] copies it with the epoch's frequencies
+//! written in place ([`Instance::with_frequencies`]). Each frequency is
+//! `effective weight × per-execution multiplicity`, the same expression
+//! the builder was given, and passes the builder's check, so the result
+//! equals a full rebuild; an epoch formats no query names and runs no
+//! builder pass.
+//!
 //! # Forgetting
 //!
 //! [`DecayMode::Exponential`] keeps an exponentially-decayed running sum:
@@ -38,6 +53,7 @@
 //! influencing the partitioner after a hard deadline.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::OnceLock;
 use vpart_model::workload::QuerySpec;
 use vpart_model::{Instance, Query, Schema, TxnId, Workload};
 
@@ -177,6 +193,10 @@ pub struct OnlineWorkload {
     /// Closed epochs, oldest first ([`DecayMode::Window`]).
     window: VecDeque<Vec<f64>>,
     epoch: u64,
+    /// The snapshot structure at unit template weight (see the module
+    /// docs), reset by every registration; `None` when the template set
+    /// does not build.
+    skeleton: OnceLock<Option<Instance>>,
 }
 
 impl OnlineWorkload {
@@ -199,6 +219,7 @@ impl OnlineWorkload {
             decayed: Vec::new(),
             window: VecDeque::new(),
             epoch: 0,
+            skeleton: OnceLock::new(),
         })
     }
 
@@ -247,6 +268,7 @@ impl OnlineWorkload {
         for epoch in &mut self.window {
             epoch.push(0.0);
         }
+        self.skeleton = OnceLock::new();
         self.debug_check_index_stability();
         i
     }
@@ -425,15 +447,37 @@ impl OnlineWorkload {
     /// registered template appears (index `i` = `TxnId(i)`), with query
     /// frequencies `effective_weight × per-execution multiplicity`;
     /// templates whose weight decayed below
-    /// [`TrackerConfig::min_weight`] are pinned at that floor.
+    /// [`TrackerConfig::min_weight`] are pinned at that floor. The
+    /// frequencies are written into a copy of the cached skeleton (see
+    /// the module docs).
     pub fn snapshot(&self) -> Result<Instance, OnlineError> {
         if self.templates.is_empty() {
             return Err(OnlineError::NoTraffic);
         }
         let weights = self.effective_weights();
+        let floor = self.config.min_weight;
+        let name = format!("{}@e{}", self.name, self.epoch);
+        let skeleton = self
+            .skeleton
+            .get_or_init(|| self.build(String::new(), |_| 1.0).ok());
+        let Some(skeleton) = skeleton else {
+            // The structure itself does not build: the builder run at
+            // this epoch's weights reports exactly the error it meets.
+            return self.build(name, |i| weights[i].max(floor));
+        };
+        let frequencies = self.templates.iter().zip(&weights).flat_map(|(tpl, &w)| {
+            let weight = w.max(floor);
+            tpl.queries.iter().map(move |q| weight * q.frequency)
+        });
+        Ok(skeleton.with_frequencies(name, frequencies)?)
+    }
+
+    /// Builds the mix with template `i` at `weight(i)` through
+    /// [`Workload::builder`].
+    fn build(&self, name: String, weight: impl Fn(usize) -> f64) -> Result<Instance, OnlineError> {
         let mut wb = Workload::builder(&self.schema);
         for (i, tpl) in self.templates.iter().enumerate() {
-            let weight = weights[i].max(self.config.min_weight);
+            let weight = weight(i);
             let mut qids = Vec::with_capacity(tpl.queries.len());
             for (j, q) in tpl.queries.iter().enumerate() {
                 let mut spec = if q.kind.is_write() {
@@ -449,7 +493,6 @@ impl OnlineWorkload {
             }
             wb.transaction(&tpl.name, &qids)?;
         }
-        let name = format!("{}@e{}", self.name, self.epoch);
         Ok(Instance::new(name, self.schema.clone(), wb.build()?)?)
     }
 
@@ -530,6 +573,125 @@ mod tests {
                 .rows_for_table(TableId(0)),
             3.0
         );
+    }
+
+    /// A snapshot rebuilt from scratch through `Workload::builder`, with a
+    /// formatted name per query: the reference the skeleton copy must
+    /// equal.
+    fn rebuilt_snapshot(tr: &OnlineWorkload) -> Result<Instance, OnlineError> {
+        if tr.templates.is_empty() {
+            return Err(OnlineError::NoTraffic);
+        }
+        let weights = tr.effective_weights();
+        let mut wb = Workload::builder(&tr.schema);
+        for (i, tpl) in tr.templates.iter().enumerate() {
+            let weight = weights[i].max(tr.config.min_weight);
+            let mut qids = Vec::new();
+            for (j, q) in tpl.queries.iter().enumerate() {
+                let name = format!("{}.q{j}", tpl.name);
+                let mut spec = if q.kind.is_write() {
+                    QuerySpec::write(name)
+                } else {
+                    QuerySpec::read(name)
+                };
+                spec = spec.access(&q.attrs).frequency(weight * q.frequency);
+                for &(tb, n) in &q.table_rows {
+                    spec = spec.rows(tb, n);
+                }
+                qids.push(wb.add_query(spec)?);
+            }
+            wb.transaction(&tpl.name, &qids)?;
+        }
+        let name = format!("{}@e{}", tr.name, tr.epoch);
+        Ok(Instance::new(name, tr.schema.clone(), wb.build()?)?)
+    }
+
+    /// A transaction shape per `k`: its read attribute set, write row
+    /// count and statement multiplicity all vary, so new `k` register new
+    /// templates.
+    fn shape(k: usize, scale: f64) -> Instance {
+        let schema = schema();
+        let mut wb = Workload::builder(&schema);
+        let read = if k.is_multiple_of(2) {
+            vec![AttrId(0)]
+        } else {
+            vec![AttrId(0), AttrId(1)]
+        };
+        let q0 = wb
+            .add_query(QuerySpec::read("r").access(&read).frequency(3.0 * scale))
+            .unwrap();
+        let q1 = wb
+            .add_query(
+                QuerySpec::write("w")
+                    .access(&[AttrId(1)])
+                    .frequency(scale * (1.0 + k as f64 / 7.0))
+                    .rows(TableId(0), 1.0 + k as f64),
+            )
+            .unwrap();
+        wb.transaction("t", &[q0, q1]).unwrap();
+        Instance::new("s", schema, wb.build().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn snapshots_equal_a_builder_rebuild() {
+        for decay in [
+            DecayMode::Exponential { factor: 0.5 },
+            DecayMode::Exponential { factor: 0.0 },
+            DecayMode::Window { epochs: 1 },
+            DecayMode::Window { epochs: 3 },
+        ] {
+            for min_weight in [1e-6, 2.5] {
+                let cfg = TrackerConfig { decay, min_weight };
+                let mut tr = OnlineWorkload::from_instance(&instance(10.0, 4.0), cfg).unwrap();
+                assert_eq!(
+                    tr.snapshot(),
+                    rebuilt_snapshot(&tr),
+                    "{decay:?} before traffic"
+                );
+                for round in 0..24usize {
+                    // New shapes register every few rounds, mid-stream.
+                    tr.observe_instance(&shape(round / 4, 0.1 + round as f64))
+                        .unwrap();
+                    tr.observe(round % tr.n_templates(), 0.7 * round as f64)
+                        .unwrap();
+                    assert_eq!(
+                        tr.snapshot(),
+                        rebuilt_snapshot(&tr),
+                        "{decay:?} round {round}"
+                    );
+                    if round % 3 == 2 {
+                        tr.advance_epoch();
+                        // Templates with no traffic this epoch sit at the
+                        // floor (window and factor-0 modes forget them).
+                        assert_eq!(
+                            tr.snapshot(),
+                            rebuilt_snapshot(&tr),
+                            "{decay:?} epoch close"
+                        );
+                    }
+                }
+                assert!(tr.n_templates() >= 8, "shapes registered mid-stream");
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_weights_are_invalid_frequencies() {
+        let mut tr =
+            OnlineWorkload::from_instance(&instance(1.0, 1.0), TrackerConfig::default()).unwrap();
+        tr.snapshot().unwrap();
+        tr.observe(1, f64::MAX).unwrap();
+        tr.observe(1, f64::MAX).unwrap();
+        let snap = tr.snapshot();
+        assert!(
+            matches!(
+                &snap,
+                Err(OnlineError::Model(vpart_model::ModelError::InvalidFrequency { query, frequency }))
+                    if query == "writer.q0" && *frequency == f64::INFINITY
+            ),
+            "{snap:?}"
+        );
+        assert_eq!(snap, rebuilt_snapshot(&tr));
     }
 
     #[test]

@@ -79,9 +79,11 @@ pub struct WatchConfig {
     pub faults: FaultInjector,
     /// Observability sink. Off by default ([`Obs::disabled`]); when
     /// enabled every epoch records a `watch_epoch` span (drift score,
-    /// threshold margin, migration bytes, snapshot size), the nested
-    /// solver and engine spans, the `watch_*` counter/gauge family and
-    /// the `epoch_wall_seconds` / `warm_resolve_wall_seconds` histograms.
+    /// threshold margin, migration bytes, snapshot size), its step spans
+    /// (`tracker_snapshot`, `assess_drift`, `plan_migration`,
+    /// `batch_plan`), the nested solver and engine spans, the `watch_*`
+    /// counter/gauge family and the `epoch_wall_seconds` /
+    /// `warm_resolve_wall_seconds` histograms.
     pub obs: Obs,
 }
 
@@ -322,7 +324,9 @@ impl Watcher {
         );
         // Nested solver / engine records parent under this epoch's span.
         let scoped = self.config.obs.under(&span);
+        let step = scoped.span_begin("tracker_snapshot", &[]);
         let snapshot = self.tracker.snapshot()?;
+        scoped.span_end(step, &[("templates", self.tracker.n_templates().into())]);
         let cfg = &self.config;
 
         let mut outcome = match &self.incumbent {
@@ -363,7 +367,15 @@ impl Watcher {
                 // assess_drift adapts the incumbent onto the snapshot
                 // itself; reuse its adapted form instead of re-adapting.
                 let incumbent = incumbent.clone();
+                let step = scoped.span_begin("assess_drift", &[]);
                 let assessment = assess_drift(&snapshot, &incumbent, &cfg.cost, &cfg.drift)?;
+                scoped.span_end(
+                    step,
+                    &[
+                        ("score", assessment.score.into()),
+                        ("triggered", assessment.triggered.into()),
+                    ],
+                );
                 let adapted = assessment.adapted.clone();
                 let mut resolve = None;
                 let mut migration = None;
@@ -437,12 +449,19 @@ impl Watcher {
                             cold: false,
                         });
 
+                        let step = scoped.span_begin("plan_migration", &[]);
                         let plan = plan_migration(
                             &snapshot,
                             &adapted,
                             &report.partitioning,
                             cfg.rows_per_fragment,
                         )?;
+                        if scoped.is_enabled() {
+                            scoped.span_end(
+                                step,
+                                &[("estimated_bytes", plan.estimated_bytes().into())],
+                            );
+                        }
                         let savings = assessment.incumbent_cost - report.breakdown.objective6;
                         if amortization_vetoes(cfg.amortize_epochs, plan.estimated_bytes(), savings)
                         {
@@ -455,9 +474,21 @@ impl Watcher {
                                 cfg.amortize_epochs as f64 * savings.max(0.0)
                             ));
                         } else {
+                            let step = scoped.span_begin("batch_plan", &[]);
                             let batched = plan
                                 .batched(&snapshot, cfg.migration_batch_bytes)
                                 .map_err(OnlineError::from)?;
+                            if scoped.is_enabled() {
+                                scoped.span_end(
+                                    step,
+                                    &[
+                                        ("batches", batched.n_batches().into()),
+                                        ("installs", plan.installs().into()),
+                                        ("drops", plan.drops().into()),
+                                        ("moves", plan.txn_moves.len().into()),
+                                    ],
+                                );
+                            }
                             let mut journal = MigrationJournal::new();
                             let mut deployment =
                                 Deployment::new(&snapshot, &adapted, cfg.rows_per_fragment)?
@@ -818,6 +849,32 @@ mod tests {
             }
         }
         assert_eq!(span_named("migrate_batched").len(), 1);
+
+        // The epoch's own steps: a snapshot in every epoch, the drift
+        // assessment, migration plan and batching in the drifted one.
+        let parents = |name: &str| {
+            span_named(name)
+                .iter()
+                .map(|s| s.get("parent").and_then(|p| p.as_u64()).unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(parents("tracker_snapshot"), epoch_ids);
+        for step in ["assess_drift", "plan_migration", "batch_plan"] {
+            assert_eq!(parents(step), vec![epoch_ids[1]], "{step}");
+        }
+        let batch_plan = span_named("batch_plan")[0];
+        let field = |k: &str| {
+            batch_plan
+                .get("fields")
+                .and_then(|f| f.get(k))
+                .and_then(|v| v.as_u64())
+                .unwrap_or_else(|| panic!("batch_plan lacks {k}"))
+        };
+        let migration = out.migration.as_ref().unwrap();
+        assert_eq!(field("batches"), migration.batches as u64);
+        assert_eq!(field("installs"), migration.plan.installs() as u64);
+        assert_eq!(field("drops"), migration.plan.drops() as u64);
+        assert_eq!(field("moves"), migration.plan.txn_moves.len() as u64);
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn main() {
     let instance = Instance::new("quickstart", schema, wb.build().unwrap()).unwrap();
     let _ = account;
 
-    let cost = CostConfig::default(); // p = 8, λ = 0.9 (cost-dominant; see DESIGN.md)
+    let cost = CostConfig::default(); // p = 8, λ = 0.9 (cost-dominant; see CostConfig::lambda)
 
     // Baseline: everything on one site.
     let single = Partitioning::single_site(&instance, 1).unwrap();

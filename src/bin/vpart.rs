@@ -163,7 +163,7 @@ fn usage() -> &'static str {
      `vpart inspect --journal <file>` summarizes a migration journal\n\
      (boundary, byte meters, rollback state) and detects corruption\n\
      (checksum mismatch, truncation, illegal record sequences).\n\
-     Defaults: p = 8 (paper), lambda = 0.9 (see DESIGN.md on the\n\
+     Defaults: p = 8 (paper), lambda = 0.9 (see CostConfig::lambda on the\n\
      paper's λ), algo = sa, restarts = 1, threads = 1,\n\
      stats-format = pgss-csv; watch: interval = 2, decay = 0.5,\n\
      drift-threshold = 0.05, rows = 64, restarts = 4, threads = 4,\n\
