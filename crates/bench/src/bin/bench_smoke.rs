@@ -7,13 +7,11 @@
 //!
 //! ```text
 //! cargo run --release -p vpart_bench --bin bench_smoke -- \
-//!     [--out <dir>] [--criterion <results.jsonl>] [--check <baseline.json>]
+//!     [--out <dir>] [--check <baseline.json>]
 //! ```
 //!
 //! The sha comes from `GITHUB_SHA` (trimmed to 12 hex digits), falling
-//! back to `local`. `--criterion` folds a `CRITERION_JSON` line file
-//! (see `vendor/criterion`) from a preceding `cargo bench` run into the
-//! artifact, so micro- and macro-benchmarks land in one place.
+//! back to `local`.
 //!
 //! `--check <baseline.json>` compares the fresh run against a previous
 //! artifact (matched by bench name) and exits non-zero when any solve
@@ -879,15 +877,6 @@ fn main() -> ExitCode {
     let (obs_bench, metrics_snapshot) = obs_overhead(&tpcc, 3);
     let sampler_bench = sampler_overhead(&shop, 2);
 
-    let criterion: Vec<serde_json::Value> = flag("--criterion")
-        .and_then(|path| std::fs::read_to_string(path).ok())
-        .map(|text| {
-            text.lines()
-                .filter_map(|l| serde_json::from_str(l.trim()).ok())
-                .collect()
-        })
-        .unwrap_or_default();
-
     let artifact = serde_json::json!({
         "sha": sha,
         "benches": benches,
@@ -897,7 +886,6 @@ fn main() -> ExitCode {
         "obs_overhead": obs_bench,
         "obs_sampler_overhead": sampler_bench,
         "metrics": metrics_snapshot,
-        "criterion": criterion,
     });
     let path = format!("{out_dir}/BENCH_{sha}.json");
     std::fs::write(

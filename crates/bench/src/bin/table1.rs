@@ -8,7 +8,7 @@
 //! cargo run --release -p vpart-bench --bin table1 [-- --full]
 //! ```
 
-use vpart_bench::{row, run_sa, single_site_cost, Mode};
+use vpart_bench::{row, run_sa, sig4, single_site_cost, Mode};
 use vpart_core::CostConfig;
 use vpart_instances::RandomParams;
 
@@ -167,7 +167,7 @@ fn main() {
                             .cost
                             .expect("sa always returns a layout")
                     };
-                    cells.push(format!("{:.3}", c / 1e6));
+                    cells.push(sig4(c / 1e6));
                 }
             }
             println!("{}", row(&cells, &widths));

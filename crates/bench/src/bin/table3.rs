@@ -11,7 +11,7 @@
 //! The 100-transaction instances take minutes each even in quick mode;
 //! they are included only with `--large` (or `--full`).
 
-use vpart_bench::{row, run_qp, run_sa, single_site_cost, Mode};
+use vpart_bench::{row, run_qp, run_sa, sig4, single_site_cost, Mode};
 use vpart_core::CostConfig;
 use vpart_instances::by_name;
 
@@ -87,14 +87,19 @@ fn main() {
                     qp.fmt_time(),
                     sa.fmt_cost(6),
                     sa.fmt_time(),
-                    format!("{:.3}", base / 1e6),
+                    sig4(base / 1e6),
                 ],
                 &widths
             )
         );
     }
-    println!("\nreading: QP matches or beats SA where it finishes; SA stays close");
-    println!("and scales to the instances where the QP hits its limit — the");
-    println!("paper's qualitative result. TPC-C reduction vs |S|=1 ≈ 28–29%");
-    println!("(paper: 37% with its unpublished statistics).");
+    println!("\nreading (quick mode): QP's cost is at or below SA's on every row,");
+    println!("including the three class-A rows that stop at the QP limit. SA");
+    println!("matches QP on TPC-C at 2 sites and on rndBt32x15 and stays within");
+    println!("1–3% on rndAt8x15..rndAt64x15, but falls short elsewhere: +3.3% on");
+    println!("TPC-C at 3 and 4 sites, +9% on rndAt4x15, +4% to +15% on rndBt4x15,");
+    println!("rndBt16x15 and rndBt64x15, and 3.5× on rndBt8x15. On rndBt8x15 and");
+    println!("rndBt16x15 SA's layout costs more than |S|=1. TPC-C reduction vs");
+    println!("|S|=1: 29.3–29.4% for QP, 27.1% for SA at 3 and 4 sites (paper: 37%");
+    println!("with its unpublished statistics).");
 }

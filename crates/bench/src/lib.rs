@@ -98,16 +98,17 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Formats the cost in units of `10^exp` per the paper's tables.
+    /// Formats the cost in units of `10^exp` per the paper's tables, to
+    /// four significant digits.
     pub fn fmt_cost(&self, exp: i32) -> String {
         match self.cost {
             None => "t/o".to_owned(),
             Some(c) => {
-                let v = c / 10f64.powi(exp);
+                let v = sig4(c / 10f64.powi(exp));
                 if self.optimal {
-                    format!("{v:.3}")
+                    v
                 } else {
-                    format!("({v:.3})")
+                    format!("({v})")
                 }
             }
         }
@@ -117,6 +118,16 @@ impl Cell {
     pub fn fmt_time(&self) -> String {
         format!("{:.0}", self.secs.max(0.0))
     }
+}
+
+/// `v` in plain decimal notation with four significant digits, so costs
+/// that differ in their fourth digit never print alike.
+pub fn sig4(v: f64) -> String {
+    if v == 0.0 || !v.is_finite() {
+        return format!("{v}");
+    }
+    let decimals = (3 - v.abs().log10().floor() as i32).max(0) as usize;
+    format!("{v:.decimals$}")
 }
 
 /// Runs the QP solver, mapping errors to the paper's `t/o` convention.
@@ -182,13 +193,22 @@ mod tests {
             optimal: true,
             secs: 1.2,
         };
-        assert_eq!(solved.fmt_cost(6), "0.133");
+        assert_eq!(solved.fmt_cost(6), "0.1330");
         let limited = Cell {
             cost: Some(332_000.0),
             optimal: false,
             secs: 1800.0,
         };
-        assert_eq!(limited.fmt_cost(6), "(0.332)");
+        assert_eq!(limited.fmt_cost(6), "(0.3320)");
+        // Small costs keep four significant digits, not three decimals.
+        let small = Cell {
+            cost: Some(7_123.0),
+            optimal: true,
+            secs: 0.1,
+        };
+        assert_eq!(small.fmt_cost(6), "0.007123");
+        assert_eq!(sig4(12_345.0), "12345");
+        assert_eq!(sig4(12.3456), "12.35");
         let timeout = Cell {
             cost: None,
             optimal: false,

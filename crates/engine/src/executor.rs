@@ -1,13 +1,12 @@
-//! Deployment and trace execution with byte-exact metering.
+//! Deployment, journaled migration and stream execution with byte-exact
+//! metering.
 
 use crate::faults::{FaultInjector, FP_MIGRATION_BATCH, FP_MIGRATION_ROLLBACK};
 use crate::journal::{JournalRecord, MigrationJournal};
 use crate::storage::{Fragment, Site};
-use crate::trace::Trace;
 use std::fmt;
 use vpart_model::{
-    AttrId, BatchedMigrationPlan, Instance, MigrationOp, MigrationPlan, Partitioning, SiteId,
-    TableId, TxnId,
+    AttrId, BatchedMigrationPlan, Instance, MigrationOp, Partitioning, SiteId, TableId, TxnId,
 };
 use vpart_obs::Obs;
 
@@ -118,7 +117,7 @@ impl SiteMetrics {
     }
 }
 
-/// Result of executing a trace.
+/// Result of executing a stream of transaction executions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Per-site meters.
@@ -169,24 +168,6 @@ impl ExecutionReport {
         }
         self.single_sited_executions as f64 / self.executions as f64
     }
-}
-
-/// Result of applying a [`MigrationPlan`]: what physically moved.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationReport {
-    /// Bytes shipped between sites to install attribute fractions, metered
-    /// from the engine's own schema widths and fragment row counts (not
-    /// copied from the plan's estimates).
-    pub bytes_moved: f64,
-    /// Per-[`FragmentChange`](vpart_model::FragmentChange) moved bytes, in
-    /// plan order.
-    pub per_change_bytes: Vec<f64>,
-    /// Attribute replicas installed.
-    pub installs: usize,
-    /// Attribute replicas dropped.
-    pub drops: usize,
-    /// Transactions re-routed to a new home site.
-    pub txns_rerouted: usize,
 }
 
 /// Result of running (part of) a [`BatchedMigrationPlan`] through the
@@ -273,11 +254,14 @@ impl<'a> Deployment<'a> {
         })
     }
 
-    /// Attaches an observability sink: [`apply_migration`] then records an
-    /// `apply_migration` span and the `engine_*_total` meter counters
-    /// (migration bytes, installs, drops, re-routes). Off by default.
+    /// Attaches an observability sink: [`migrate_batches`] and
+    /// [`rollback_migration`] then record a `migrate_batched` /
+    /// `rollback_migration` span, one event per batch and the
+    /// `engine_*_total` meter counters (migration bytes, batches,
+    /// installs, drops, re-routes). Off by default.
     ///
-    /// [`apply_migration`]: Self::apply_migration
+    /// [`migrate_batches`]: Self::migrate_batches
+    /// [`rollback_migration`]: Self::rollback_migration
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -303,162 +287,19 @@ impl<'a> Deployment<'a> {
         self.sites.iter().map(Site::stored_bytes).sum()
     }
 
-    /// Physically executes a [`MigrationPlan`]: rebuilds every changed
-    /// fragment (installs materialize column data at the destination site,
-    /// drops shrink the fraction in place), re-routes moved transactions,
-    /// and meters the bytes shipped between sites.
-    ///
-    /// The meter re-derives moved bytes from the engine's own schema
-    /// widths and row counts — `(Σ w_installed) × rows` per change, the
-    /// same accounting [`MigrationPlan::between`] estimates with — so a
-    /// plan built with this deployment's `rows_per_fragment` measures
-    /// **exactly** its estimate (`MigrationReport::bytes_moved ==
-    /// MigrationPlan::estimated_bytes`).
-    ///
-    /// The plan must start from the currently deployed layout and its
-    /// changes must reproduce `plan.to` exactly; anything else is rejected
-    /// without touching storage.
-    pub fn apply_migration(
-        &mut self,
-        plan: &MigrationPlan,
-    ) -> Result<MigrationReport, EngineError> {
-        // Dropped without a record if the plan is rejected below.
-        let span = self.obs.span_begin("apply_migration", &[]);
-        if plan.from != self.partitioning {
-            return Err(EngineError::MigrationMismatch {
-                what: "plan.from is not the deployed partitioning",
-            });
-        }
-        if plan.rows_per_fragment.max(1) != self.rows_per_fragment {
-            return Err(EngineError::MigrationMismatch {
-                what: "plan rows_per_fragment differs from the deployment's",
-            });
-        }
-        plan.to.validate(self.instance, false)?;
-
-        // Dry-run the bookkeeping first: storage is only touched once the
-        // whole plan checks out.
-        let mut next = self.partitioning.clone();
-        for mv in &plan.txn_moves {
-            if next.site_of(mv.txn) != mv.from {
-                return Err(EngineError::CorruptPlan {
-                    what: "txn move does not start at the transaction's current site",
-                });
-            }
-            next.move_txn(mv.txn, mv.to);
-        }
-        for ch in &plan.changes {
-            for &a in ch.installed.iter().chain(&ch.dropped) {
-                if self.instance.schema().table_of(a) != ch.table {
-                    return Err(EngineError::CorruptPlan {
-                        what: "fragment change lists an attribute of another table",
-                    });
-                }
-            }
-            for &a in &ch.installed {
-                if next.has_attr(a, ch.site) {
-                    return Err(EngineError::CorruptPlan {
-                        what: "install of an already-present replica",
-                    });
-                }
-                next.add_replica(a, ch.site);
-            }
-            for &a in &ch.dropped {
-                if !next.has_attr(a, ch.site) {
-                    return Err(EngineError::CorruptPlan {
-                        what: "drop of a replica that is not there",
-                    });
-                }
-                next.remove_replica(a, ch.site);
-            }
-        }
-        if next != plan.to {
-            return Err(EngineError::CorruptPlan {
-                what: "changes do not produce plan.to",
-            });
-        }
-
-        // Execute: rebuild each changed fragment and meter shipped bytes.
-        let schema = self.instance.schema();
-        let mut per_change_bytes = Vec::with_capacity(plan.changes.len());
-        let mut bytes_moved = 0.0f64;
-        let mut installs = 0usize;
-        let mut drops = 0usize;
-        for ch in &plan.changes {
-            let moved = ch.installed.iter().map(|&a| schema.width(a)).sum::<f64>()
-                * self.rows_per_fragment as f64;
-            per_change_bytes.push(moved);
-            bytes_moved += moved;
-            installs += ch.installed.len();
-            drops += ch.dropped.len();
-
-            let site = &mut self.sites[ch.site.index()];
-            let mut attrs = site.fragments[ch.table.index()]
-                .take()
-                .map(|f| f.attrs)
-                .unwrap_or_default();
-            for &a in &ch.dropped {
-                if let Ok(i) = attrs.binary_search(&a) {
-                    attrs.remove(i);
-                }
-            }
-            for &a in &ch.installed {
-                if let Err(i) = attrs.binary_search(&a) {
-                    attrs.insert(i, a);
-                }
-            }
-            if !attrs.is_empty() {
-                let width: f64 = attrs.iter().map(|&a| schema.width(a)).sum();
-                site.fragments[ch.table.index()] = Some(Fragment::new(
-                    ch.table,
-                    attrs,
-                    width,
-                    self.rows_per_fragment,
-                ));
-            }
-        }
-        self.partitioning = next;
-
-        let txns_rerouted = plan.txn_moves.len();
-        if self.obs.is_enabled() {
-            self.obs.counter_inc("engine_migrations_total");
-            self.obs
-                .counter_add("engine_migration_bytes_total", bytes_moved);
-            self.obs
-                .counter_add("engine_fragment_installs_total", installs as f64);
-            self.obs
-                .counter_add("engine_fragment_drops_total", drops as f64);
-            self.obs
-                .counter_add("engine_txns_rerouted_total", txns_rerouted as f64);
-            self.obs.span_end(
-                span,
-                &[
-                    ("bytes_moved", bytes_moved.into()),
-                    ("installs", installs.into()),
-                    ("drops", drops.into()),
-                    ("txns_rerouted", txns_rerouted.into()),
-                    ("changes", plan.changes.len().into()),
-                ],
-            );
-        }
-
-        self.debug_check_storage_bookkeeping();
-
-        Ok(MigrationReport {
-            bytes_moved,
-            per_change_bytes,
-            installs,
-            drops,
-            txns_rerouted,
-        })
-    }
-
     /// Runs a [`BatchedMigrationPlan`] to completion through a write-ahead
     /// `journal`: each batch is journaled (`BatchBegin`), applied to
     /// storage, then committed (`BatchCommit` with its metered bytes).
     /// Passing a journal with prior progress *resumes* from its boundary —
     /// already-committed batches are never re-applied and never re-counted,
     /// so `bytes_moved` is identical across any crash/resume schedule.
+    ///
+    /// This is the engine's only migration path. Installs meter
+    /// `w_a × rows` from the engine's own schema widths and row count, the
+    /// expression [`MigrationPlan::between`](vpart_model::MigrationPlan::between)
+    /// prices, so a plan built with this deployment's `rows_per_fragment`
+    /// measures exactly its estimate. A plan batched with an infinite
+    /// budget runs as one batch: the atomic case.
     ///
     /// `faults` may arm the [`FP_MIGRATION_BATCH`] fail point, which fires
     /// *after* a batch's ops hit storage but *before* its commit is
@@ -1018,7 +859,8 @@ impl<'a> Deployment<'a> {
     #[inline(always)]
     fn debug_check_storage_bookkeeping(&self) {}
 
-    /// Executes `trace`, metering bytes per the H-store-like semantics:
+    /// Executes `executions` in order, metering bytes per the H-store-like
+    /// semantics:
     ///
     /// * reads fetch the executing site's whole fraction rows of every
     ///   touched table (row-store quantum),
@@ -1026,7 +868,7 @@ impl<'a> Deployment<'a> {
     ///   replica site (the paper's all-attribute write accounting),
     /// * updated (α) attributes are shipped to every replica site other
     ///   than the executing one.
-    pub fn execute(&mut self, trace: &Trace) -> Result<ExecutionReport, EngineError> {
+    pub fn execute(&mut self, executions: &[TxnId]) -> Result<ExecutionReport, EngineError> {
         let mut per_site = vec![SiteMetrics::default(); self.sites.len()];
         let mut transfer = 0.0f64;
         let mut single_sited = 0usize;
@@ -1034,7 +876,7 @@ impl<'a> Deployment<'a> {
         let mut rows_touched = 0usize;
         let mut checksum = 0u64;
 
-        for (exec_idx, &txn) in trace.executions.iter().enumerate() {
+        for (exec_idx, &txn) in executions.iter().enumerate() {
             let home = self.partitioning.site_of(txn);
             let mut execution_transferred = false;
             for &qid in &self.instance.workload().txn(txn).queries {
@@ -1103,7 +945,7 @@ impl<'a> Deployment<'a> {
         Ok(ExecutionReport {
             per_site,
             transfer_bytes: transfer,
-            executions: trace.executions.len(),
+            executions: executions.len(),
             single_sited_executions: single_sited,
             queries_executed: queries,
             rows_touched,
@@ -1116,7 +958,7 @@ impl<'a> Deployment<'a> {
 mod tests {
     use super::*;
     use vpart_model::workload::QuerySpec;
-    use vpart_model::{Schema, Workload};
+    use vpart_model::{MigrationPlan, Schema, Workload};
 
     /// R{a(4), b(8)}: T0 reads a (1 row); T1 writes b (2 rows).
     fn instance() -> Instance {
@@ -1139,12 +981,29 @@ mod tests {
         Instance::new("eng", schema, wb.build().unwrap()).unwrap()
     }
 
+    /// Runs `plan` to completion through a fresh journal, batched at
+    /// `budget` install bytes per batch. An infinite budget applies the
+    /// plan atomically, as one batch.
+    fn migrate(
+        dep: &mut Deployment<'_>,
+        ins: &Instance,
+        plan: &MigrationPlan,
+        budget: f64,
+    ) -> Result<BatchedMigrationReport, EngineError> {
+        let batched = plan.batched(ins, budget)?;
+        dep.migrate_batched(
+            &batched,
+            &mut MigrationJournal::new(),
+            &mut FaultInjector::disabled(),
+        )
+    }
+
     #[test]
     fn single_site_execution_meters_by_hand() {
         let ins = instance();
         let part = Partitioning::single_site(&ins, 1).unwrap();
         let mut dep = Deployment::new(&ins, &part, 16).unwrap();
-        let report = dep.execute(&Trace::uniform(&ins, 1)).unwrap();
+        let report = dep.execute(&[TxnId(0), TxnId(1)]).unwrap();
         // Read: whole fraction (a+b = 12 bytes) × 1 row.
         let t = report.totals();
         assert_eq!(t.bytes_read, 12.0);
@@ -1162,7 +1021,7 @@ mod tests {
         let mut part = Partitioning::single_site(&ins, 2).unwrap();
         part.add_replica(AttrId(1), SiteId(1)); // b replicated; T1 home = s0
         let mut dep = Deployment::new(&ins, &part, 8).unwrap();
-        let report = dep.execute(&Trace::uniform(&ins, 1)).unwrap();
+        let report = dep.execute(&[TxnId(0), TxnId(1)]).unwrap();
         // Transfer: b (8 bytes) × 2 rows to the remote replica.
         assert_eq!(report.transfer_bytes, 16.0);
         // Writes hit both fragments: site0 fraction 12 × 2 + site1 (b only,
@@ -1191,13 +1050,14 @@ mod tests {
     fn deterministic_checksum() {
         let ins = instance();
         let part = Partitioning::single_site(&ins, 1).unwrap();
+        let executions = [TxnId(0), TxnId(1), TxnId(0), TxnId(1)];
         let r1 = Deployment::new(&ins, &part, 16)
             .unwrap()
-            .execute(&Trace::uniform(&ins, 2))
+            .execute(&executions)
             .unwrap();
         let r2 = Deployment::new(&ins, &part, 16)
             .unwrap()
-            .execute(&Trace::uniform(&ins, 2))
+            .execute(&executions)
             .unwrap();
         assert_eq!(r1, r2);
     }
@@ -1210,24 +1070,21 @@ mod tests {
         let mut to = from.clone();
         to.add_replica(AttrId(1), SiteId(1));
         to.move_txn(TxnId(1), SiteId(1));
-        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 16).unwrap();
+        let plan = MigrationPlan::between(&ins, &from, &to, 16).unwrap();
         assert_eq!(plan.estimated_bytes(), 8.0 * 16.0);
 
         let mut dep = Deployment::new(&ins, &from, 16).unwrap();
         let before = dep.stored_bytes();
-        let report = dep.apply_migration(&plan).unwrap();
+        let report = migrate(&mut dep, &ins, &plan, f64::INFINITY).unwrap();
+        assert!(report.completed);
         assert_eq!(report.bytes_moved, plan.estimated_bytes());
-        assert_eq!(report.per_change_bytes.len(), plan.changes.len());
-        for (m, c) in report.per_change_bytes.iter().zip(&plan.changes) {
-            assert_eq!(*m, c.bytes, "per-change meter matches the estimate");
-        }
         assert_eq!(report.installs, 1);
         assert_eq!(report.drops, 0);
         assert_eq!(report.txns_rerouted, 1);
         assert_eq!(dep.partitioning(), &to);
         assert!(dep.stored_bytes() > before, "the replica is materialized");
         // The migrated deployment still executes.
-        dep.execute(&Trace::uniform(&ins, 1)).unwrap();
+        dep.execute(&[TxnId(0), TxnId(1)]).unwrap();
     }
 
     #[test]
@@ -1236,11 +1093,11 @@ mod tests {
         let mut from = Partitioning::single_site(&ins, 2).unwrap();
         from.add_replica(AttrId(1), SiteId(1));
         let to = Partitioning::single_site(&ins, 2).unwrap();
-        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 8).unwrap();
+        let plan = MigrationPlan::between(&ins, &from, &to, 8).unwrap();
         assert_eq!(plan.estimated_bytes(), 0.0, "drops ship nothing");
         let mut dep = Deployment::new(&ins, &from, 8).unwrap();
         let before = dep.stored_bytes();
-        let report = dep.apply_migration(&plan).unwrap();
+        let report = migrate(&mut dep, &ins, &plan, f64::INFINITY).unwrap();
         assert_eq!(report.bytes_moved, 0.0);
         assert_eq!(report.drops, 1);
         assert!(dep.stored_bytes() < before, "the replica is deleted");
@@ -1249,7 +1106,7 @@ mod tests {
 
     /// With `debug-invariants` on, a chain of migrations keeps the
     /// physical fragments in lockstep with the logical partitioning —
-    /// the self-check in `apply_migration` runs after every plan.
+    /// the self-check runs after every committed batch.
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn migration_chain_passes_the_bookkeeping_self_check() {
@@ -1264,8 +1121,8 @@ mod tests {
         layouts.push(grown);
         layouts.push(base); // and all the way back
         for pair in layouts.windows(2) {
-            let plan = vpart_model::MigrationPlan::between(&ins, &pair[0], &pair[1], 8).unwrap();
-            dep.apply_migration(&plan).unwrap();
+            let plan = MigrationPlan::between(&ins, &pair[0], &pair[1], 8).unwrap();
+            migrate(&mut dep, &ins, &plan, f64::INFINITY).unwrap();
             assert_eq!(dep.partitioning(), &pair[1]);
         }
     }
@@ -1276,30 +1133,34 @@ mod tests {
         let from = Partitioning::single_site(&ins, 2).unwrap();
         let mut to = from.clone();
         to.add_replica(AttrId(0), SiteId(1));
-        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 16).unwrap();
+        let plan = MigrationPlan::between(&ins, &from, &to, 16).unwrap();
 
         // Wrong starting layout.
         let mut dep = Deployment::new(&ins, &to, 16).unwrap();
         assert!(matches!(
-            dep.apply_migration(&plan),
+            migrate(&mut dep, &ins, &plan, f64::INFINITY),
             Err(EngineError::MigrationMismatch { .. })
         ));
         // Wrong row count.
         let mut dep = Deployment::new(&ins, &from, 32).unwrap();
         assert!(matches!(
-            dep.apply_migration(&plan),
+            migrate(&mut dep, &ins, &plan, f64::INFINITY),
             Err(EngineError::MigrationMismatch { .. })
         ));
-        // Tampered plan: changes no longer produce `to`.
-        let mut bad = plan.clone();
-        bad.changes.clear();
+        // Tampered batches no longer produce `to`.
+        let mut bad = plan.batched(&ins, f64::INFINITY).unwrap();
+        bad.batches.clear();
         let mut dep = Deployment::new(&ins, &from, 16).unwrap();
+        let pristine = dep.state_fingerprint();
+        let mut journal = MigrationJournal::new();
         assert!(matches!(
-            dep.apply_migration(&bad),
+            dep.migrate_batched(&bad, &mut journal, &mut FaultInjector::disabled()),
             Err(EngineError::CorruptPlan { .. })
         ));
-        // Rejected plans leave the deployment untouched.
+        // Rejected plans leave the deployment and the journal untouched.
         assert_eq!(dep.partitioning(), &from);
+        assert_eq!(dep.state_fingerprint(), pristine);
+        assert!(journal.is_empty());
     }
 
     #[test]
@@ -1330,22 +1191,25 @@ mod tests {
 
     fn relocation_plan(ins: &Instance) -> vpart_model::BatchedMigrationPlan {
         let (from, to) = relocation_pair(ins);
-        vpart_model::MigrationPlan::between(ins, &from, &to, 16)
+        MigrationPlan::between(ins, &from, &to, 16)
             .unwrap()
             .batched(ins, 64.0)
             .unwrap()
     }
 
+    /// Many batches reach the storage one atomic batch does, which is the
+    /// storage of a deployment built at `plan.to`.
     #[test]
     fn batched_migration_matches_atomic_apply() {
         let ins = instance();
         let (from, to) = relocation_pair(&ins);
-        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 16).unwrap();
+        let plan = MigrationPlan::between(&ins, &from, &to, 16).unwrap();
         let batched = plan.batched(&ins, 64.0).unwrap();
         assert!(batched.n_batches() >= 2, "budget should split the plan");
 
         let mut atomic = Deployment::new(&ins, &from, 16).unwrap();
-        let atomic_report = atomic.apply_migration(&plan).unwrap();
+        let atomic_report = migrate(&mut atomic, &ins, &plan, f64::INFINITY).unwrap();
+        assert_eq!(atomic_report.batches_total, 1);
 
         let mut dep = Deployment::new(&ins, &from, 16).unwrap();
         let mut journal = MigrationJournal::new();
@@ -1357,10 +1221,12 @@ mod tests {
         assert_eq!(report.bytes_moved, atomic_report.bytes_moved);
         assert_eq!(report.bytes_moved, plan.estimated_bytes());
         assert_eq!(dep.partitioning(), &to);
+        let fresh = Deployment::new(&ins, &to, 16).unwrap().state_fingerprint();
+        assert_eq!(dep.state_fingerprint(), atomic.state_fingerprint());
         assert_eq!(
             dep.state_fingerprint(),
-            atomic.state_fingerprint(),
-            "batched and atomic migration must reach bit-identical storage"
+            fresh,
+            "a migrated deployment must hold the storage of one built at plan.to"
         );
     }
 
@@ -1420,7 +1286,7 @@ mod tests {
     fn storage_at_every_fault_point_matches_a_fresh_boundary_deployment() {
         let ins = instance();
         let (from, to) = relocation_pair(&ins);
-        let plan = vpart_model::MigrationPlan::between(&ins, &from, &to, 16)
+        let plan = MigrationPlan::between(&ins, &from, &to, 16)
             .unwrap()
             .batched(&ins, 1.0)
             .unwrap();

@@ -8,9 +8,9 @@
 //!
 //! A [`ReplayDeployment`] materializes the partitioning as columnar
 //! storage ([`ColumnFragment`]) split into a fixed number of contiguous
-//! *row-range shards*. A [`ReplayStream`] expands an instance (or a
-//! recorded [`Trace`]) into a seeded, deterministic stream of row-level
-//! touches. The driver replays the stream with `std::thread::scope`
+//! *row-range shards*. A [`ReplayStream`] expands an instance into a
+//! seeded, deterministic stream of row-level touches.
+//! [`ReplayDeployment::replay`] runs the stream on `std::thread::scope`
 //! workers, each owning a contiguous chunk of shards outright:
 //!
 //! * every worker walks the **whole** stream and executes only the
@@ -32,7 +32,8 @@
 
 use crate::faults::{FaultInjector, FP_REPLAY_PASS};
 use crate::storage::ColumnFragment;
-use crate::trace::Trace;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 use vpart_model::{AttrId, Instance, Partitioning, TxnId};
 use vpart_obs::{HealthMonitor, Obs};
@@ -66,28 +67,49 @@ pub struct ReplayStream {
 
 impl ReplayStream {
     /// Every transaction exactly `rounds` times, round-robin.
+    ///
+    /// With the paper's equal-frequency assumption (`f_q = 1`), a
+    /// `rounds`-round uniform stream measures exactly `rounds ×` the cost
+    /// model's predicted byte counts.
     pub fn uniform(instance: &Instance, rounds: usize, seed: u64) -> Self {
-        Self {
-            executions: Trace::uniform(instance, rounds).executions,
-            seed,
+        let mut executions = Vec::with_capacity(rounds * instance.n_txns());
+        for _ in 0..rounds {
+            for t in 0..instance.n_txns() {
+                executions.push(TxnId::from_index(t));
+            }
         }
+        Self { executions, seed }
     }
 
-    /// `total` executions sampled proportionally to each transaction's
-    /// total query frequency (seeded, deterministic).
+    /// `total` executions sampled with probability proportional to each
+    /// transaction's total query frequency (seeded, deterministic).
     pub fn weighted(instance: &Instance, total: usize, seed: u64) -> Self {
-        Self {
-            executions: Trace::weighted(instance, total, seed).executions,
-            seed,
-        }
-    }
-
-    /// Replays a recorded trace.
-    pub fn from_trace(trace: &Trace, seed: u64) -> Self {
-        Self {
-            executions: trace.executions.clone(),
-            seed,
-        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights: Vec<f64> = (0..instance.n_txns())
+            .map(|t| {
+                instance
+                    .workload()
+                    .txn(TxnId::from_index(t))
+                    .queries
+                    .iter()
+                    .map(|&q| instance.workload().query(q).frequency)
+                    .sum()
+            })
+            .collect();
+        let sum: f64 = weights.iter().sum();
+        let executions = (0..total)
+            .map(|_| {
+                let mut pick = rng.gen::<f64>() * sum;
+                for (t, w) in weights.iter().enumerate() {
+                    pick -= w;
+                    if pick <= 0.0 {
+                        return TxnId::from_index(t);
+                    }
+                }
+                TxnId::from_index(instance.n_txns() - 1)
+            })
+            .collect();
+        Self { executions, seed }
     }
 
     /// Number of executions per pass.
@@ -990,6 +1012,44 @@ mod tests {
             .unwrap();
         wb.transaction("T0", &[q0]).unwrap();
         Instance::new("frac", schema, wb.build().unwrap()).unwrap()
+    }
+
+    /// R{a(4)}: T0's query runs 9× as often as T1's.
+    fn weighted_instance() -> Instance {
+        let mut sb = Schema::builder();
+        sb.table("R", &[("a", 4.0)]).unwrap();
+        let schema = sb.build().unwrap();
+        let mut wb = Workload::builder(&schema);
+        let q0 = wb
+            .add_query(QuerySpec::read("q0").access(&[AttrId(0)]).frequency(9.0))
+            .unwrap();
+        let q1 = wb
+            .add_query(QuerySpec::read("q1").access(&[AttrId(0)]))
+            .unwrap();
+        wb.transaction("T0", &[q0]).unwrap();
+        wb.transaction("T1", &[q1]).unwrap();
+        Instance::new("t", schema, wb.build().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn uniform_counts() {
+        let ins = weighted_instance();
+        let stream = ReplayStream::uniform(&ins, 5, 0);
+        assert_eq!(stream.len(), 10);
+        assert_eq!(stream.counts(2), vec![5, 5]);
+        assert!(!stream.is_empty());
+    }
+
+    #[test]
+    fn weighted_respects_frequencies() {
+        let ins = weighted_instance();
+        let stream = ReplayStream::weighted(&ins, 2000, 3);
+        let c = stream.counts(2);
+        // T0's weight is 9×, so it should dominate ~90/10.
+        assert!(c[0] > c[1] * 5, "counts {c:?}");
+        assert_eq!(c[0] + c[1], 2000);
+        // Deterministic per seed.
+        assert_eq!(stream, ReplayStream::weighted(&ins, 2000, 3));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use vpart_core::sa::{SaConfig, SaSolver};
 use vpart_core::{evaluate, CostConfig};
-use vpart_engine::{Deployment, Trace};
+use vpart_engine::{Deployment, ReplayStream};
 use vpart_instances::{by_name, tpcc};
 use vpart_model::Partitioning;
 
@@ -22,7 +22,9 @@ fn check_agreement(ins: &vpart_model::Instance, part: &Partitioning, rounds: usi
     let cfg = CostConfig::default();
     let predicted = evaluate(ins, part, &cfg);
     let mut dep = Deployment::new(ins, part, 32).unwrap();
-    let report = dep.execute(&Trace::uniform(ins, rounds)).unwrap();
+    let report = dep
+        .execute(&ReplayStream::uniform(ins, rounds, 0).executions)
+        .unwrap();
     let k = rounds as f64;
     let totals = report.totals();
     assert_close(totals.bytes_read, k * predicted.read, "A_R");
@@ -77,13 +79,17 @@ fn partitioning_reduces_measured_bytes_not_just_predicted() {
     let cfg = CostConfig::default();
     let single = Partitioning::single_site(&ins, 1).unwrap();
     let mut dep = Deployment::new(&ins, &single, 32).unwrap();
-    let base = dep.execute(&Trace::uniform(&ins, 2)).unwrap();
+    let base = dep
+        .execute(&ReplayStream::uniform(&ins, 2, 0).executions)
+        .unwrap();
 
     let r = SaSolver::new(SaConfig::fast_deterministic(5))
         .solve(&ins, 2, &cfg)
         .unwrap();
     let mut dep = Deployment::new(&ins, &r.partitioning, 32).unwrap();
-    let split = dep.execute(&Trace::uniform(&ins, 2)).unwrap();
+    let split = dep
+        .execute(&ReplayStream::uniform(&ins, 2, 0).executions)
+        .unwrap();
 
     let base_cost = base.measured_objective4(cfg.p);
     let split_cost = split.measured_objective4(cfg.p);
@@ -101,13 +107,12 @@ fn single_sitedness_of_reads_is_preserved_in_execution() {
         .solve(&ins, 4, &CostConfig::default())
         .unwrap();
     let mut dep = Deployment::new(&ins, &r.partitioning, 16).unwrap();
-    let trace = Trace {
-        executions: vec![
+    let report = dep
+        .execute(&[
             ins.workload().txn_by_name("OrderStatus").unwrap(),
             ins.workload().txn_by_name("StockLevel").unwrap(),
-        ],
-    };
-    let report = dep.execute(&trace).unwrap();
+        ])
+        .unwrap();
     assert_eq!(report.transfer_bytes, 0.0);
     assert_eq!(report.single_sited_executions, 2);
 }

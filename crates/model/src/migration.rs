@@ -7,9 +7,10 @@
 //! transaction whose home site changed is re-routed (free — routing tables,
 //! not data). [`MigrationPlan::between`] computes that delta as per-site,
 //! per-table [`FragmentChange`]s with byte estimates; the execution engine
-//! (`vpart_engine::Deployment::apply_migration`) physically applies a plan
-//! and meters the bytes it actually moved with the *same* accounting, so
-//! plan estimates and engine measurements must agree exactly.
+//! (`vpart_engine::Deployment::migrate_batched`) physically applies the
+//! [batched](MigrationPlan::batched) plan and meters the bytes it actually
+//! moved with the *same* accounting, so plan estimates and engine
+//! measurements must agree exactly.
 //!
 //! Plans are deliberately *label-sensitive*: `between` diffs the two
 //! partitionings as given. Site labels are interchangeable to the solvers,
@@ -208,8 +209,12 @@ impl MigrationPlan {
     ///
     /// With a plan produced by [`MigrationPlan::between`] this always
     /// terminates: after all installs every move is safe (the target
-    /// validates), and after all moves every drop is safe. A tampered plan
-    /// that cannot make progress yields [`ModelError::InconsistentPlan`].
+    /// validates), and after all moves every drop is safe. Plans may arrive
+    /// deserialized, so a tampered one yields
+    /// [`ModelError::InconsistentPlan`]: one that cannot make progress or
+    /// misses `to`, an install of a replica `from` already holds, a drop of
+    /// one it lacks, an attribute listed under another table, or a move
+    /// that does not start at the transaction's current site.
     ///
     /// The scheduler is event-driven (see the [module docs](self)): the
     /// moves and drops applied after an install are exactly those a full
@@ -390,28 +395,53 @@ impl<'a> Scheduler<'a> {
         let out_of_range = ModelError::InconsistentPlan {
             what: "plan names an attribute, site or transaction outside the instance",
         };
+        let redundant_install = ModelError::InconsistentPlan {
+            what: "install of an already-present replica",
+        };
+        let missing_drop = ModelError::InconsistentPlan {
+            what: "drop of a replica that is not there",
+        };
         // Pending micro-ops in the plan's deterministic (site, table, attr)
         // order.
         let mut installs = Vec::new();
         let mut drops = Vec::new();
         for ch in &plan.changes {
-            let mut attrs = ch.installed.iter().chain(&ch.dropped);
-            if ch.site.index() >= n_sites || attrs.any(|a| a.index() >= instance.n_attrs()) {
+            let attrs = || ch.installed.iter().chain(&ch.dropped);
+            if ch.site.index() >= n_sites || attrs().any(|a| a.index() >= instance.n_attrs()) {
                 return Err(out_of_range);
             }
+            if attrs().any(|&a| schema.table_of(a) != ch.table) {
+                return Err(ModelError::InconsistentPlan {
+                    what: "fragment change lists an attribute of another table",
+                });
+            }
             for &a in &ch.installed {
-                if schema.table_of(a) != ch.table {
-                    return Err(ModelError::InconsistentPlan {
-                        what: "fragment change lists an attribute of another table",
-                    });
+                if from.has_attr(a, ch.site) {
+                    return Err(redundant_install);
                 }
                 installs.push((a, ch.site, schema.width(a) * rows));
             }
-            drops.extend(ch.dropped.iter().map(|&a| (a, ch.site)));
+            for &a in &ch.dropped {
+                if !from.has_attr(a, ch.site) {
+                    return Err(missing_drop);
+                }
+                drops.push((a, ch.site));
+            }
         }
         let mut moves = plan.txn_moves.iter();
         if moves.any(|mv| mv.txn.index() >= instance.n_txns() || mv.to.index() >= n_sites) {
             return Err(out_of_range);
+        }
+        // A transaction's second move starts where its first one left it.
+        let mut moved = vec![false; instance.n_txns()];
+        for mv in &plan.txn_moves {
+            if mv.from != from.site_of(mv.txn)
+                || std::mem::replace(&mut moved[mv.txn.index()], true)
+            {
+                return Err(ModelError::InconsistentPlan {
+                    what: "txn move does not start at the transaction's current site",
+                });
+            }
         }
         let mut slots: Vec<(AttrId, SiteId)> = installs
             .iter()
@@ -419,7 +449,16 @@ impl<'a> Scheduler<'a> {
             .chain(drops.iter().copied())
             .collect();
         slots.sort_unstable();
-        slots.dedup();
+        // Installs name pairs absent from `from` and drops pairs present in
+        // it, so a pair listed twice is a second install or a second drop.
+        if let Some(w) = slots.windows(2).find(|w| w[0] == w[1]) {
+            let (a, s) = w[0];
+            return Err(if from.has_attr(a, s) {
+                missing_drop
+            } else {
+                redundant_install
+            });
+        }
         let n_slots = slots.len();
         let mut first = vec![0_u32; instance.n_attrs() + 1];
         for &(a, _) in &slots {
@@ -1102,6 +1141,63 @@ mod tests {
             &plan,
             "fragment change lists an attribute of another table",
         );
+    }
+
+    #[test]
+    fn a_redundant_install_is_inconsistent() {
+        let (ins, mut plan) = shop_plan(10);
+        let what = "install of an already-present replica";
+        // c is already on site 0 under `from`.
+        let mut present = plan.clone();
+        present.changes.push(FragmentChange {
+            site: SiteId(0),
+            table: TableId(1),
+            installed: vec![AttrId(2)],
+            dropped: Vec::new(),
+            bytes: 20.0,
+        });
+        assert_inconsistent(&ins, &present, what);
+        // Installing c on site 1 twice.
+        let change = plan.changes.iter().find(|c| !c.installed.is_empty());
+        let twice = change.unwrap().clone();
+        plan.changes.push(twice);
+        assert_inconsistent(&ins, &plan, what);
+    }
+
+    #[test]
+    fn a_drop_of_a_missing_replica_is_inconsistent() {
+        let (ins, mut plan) = shop_plan(10);
+        let what = "drop of a replica that is not there";
+        // Nothing lives on site 1 under `from`.
+        let mut missing = plan.clone();
+        missing.changes.push(FragmentChange {
+            site: SiteId(1),
+            table: TableId(0),
+            installed: Vec::new(),
+            dropped: vec![AttrId(0)],
+            bytes: 0.0,
+        });
+        assert_inconsistent(&ins, &missing, what);
+        // Dropping c from site 0 twice.
+        let change = plan.changes.iter().find(|c| !c.dropped.is_empty());
+        let twice = change.unwrap().clone();
+        plan.changes.push(twice);
+        assert_inconsistent(&ins, &plan, what);
+    }
+
+    #[test]
+    fn a_move_from_the_wrong_site_is_inconsistent() {
+        let (ins, plan) = shop_plan(10);
+        let what = "txn move does not start at the transaction's current site";
+        // T1 starts on site 0, not site 1.
+        let mut wrong_start = plan.clone();
+        wrong_start.txn_moves[0].from = SiteId(1);
+        // A second move of T1 would start on site 1, where the first left it.
+        let mut twice = plan.clone();
+        twice.txn_moves.push(plan.txn_moves[0]);
+        for tampered in [wrong_start, twice] {
+            assert_inconsistent(&ins, &tampered, what);
+        }
     }
 
     #[test]

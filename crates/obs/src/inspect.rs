@@ -4,10 +4,10 @@
 //! The summarizer understands the span names the instrumented layers
 //! emit — `ingest` (statements, shapes and templates of a SQL input),
 //! `sa_solve`/`sa_chain` (per-chain convergence), `qp_solve` (branch &
-//! bound work), `watch_epoch` (online timeline) and `apply_migration` —
-//! and degrades gracefully: unknown records still
-//! count toward the totals, and sections with no matching spans are
-//! omitted.
+//! bound work), `watch_epoch` (online timeline) and `migrate_batched` /
+//! `rollback_migration` (bytes moved) — and degrades gracefully: unknown
+//! records still count toward the totals, and sections with no matching
+//! spans are omitted.
 
 use std::fmt::Write as _;
 
@@ -165,8 +165,8 @@ pub struct TraceSummary {
     pub qp: Vec<QpRow>,
     /// Ingestion rows, in trace order.
     pub ingests: Vec<IngestRow>,
-    /// Total bytes moved across `apply_migration`, `migrate_batched` and
-    /// `rollback_migration` spans.
+    /// Total bytes moved across `migrate_batched` and `rollback_migration`
+    /// spans.
     pub migration_bytes: f64,
 }
 
@@ -274,11 +274,8 @@ impl TraceSummary {
                     log_bytes: u(&fields, "log_bytes"),
                     wall_ms,
                 }),
-                "apply_migration" => {
-                    summary.migration_bytes += f(&fields, "bytes_moved");
-                }
-                // The crash-safe batched path reports the bytes committed
-                // (or re-installed, for rollbacks) by each call.
+                // Each call reports the bytes it committed (or re-installed,
+                // for rollbacks).
                 "migrate_batched" | "rollback_migration" => {
                     summary.migration_bytes += f(&fields, "bytes_this_run");
                 }
@@ -499,8 +496,8 @@ mod tests {
         let obs = Obs::enabled();
         let epoch = obs.span_begin("watch_epoch", &[]);
         let scoped = obs.under(&epoch);
-        let mig = scoped.span_begin("apply_migration", &[]);
-        scoped.span_end(mig, &[("bytes_moved", 2048.0f64.into())]);
+        let mig = scoped.span_begin("migrate_batched", &[]);
+        scoped.span_end(mig, &[("bytes_this_run", 2048.0f64.into())]);
         obs.span_end(
             epoch,
             &[

@@ -318,6 +318,28 @@ impl Registry {
         })
     }
 
+    /// `(rendered series name, value)` of every counter, in exposition
+    /// order.
+    pub(crate) fn counter_values(&self) -> Vec<(String, f64)> {
+        scalar_values(&self.counters)
+    }
+
+    /// `(rendered series name, value)` of every gauge, in exposition order.
+    pub(crate) fn gauge_values(&self) -> Vec<(String, f64)> {
+        scalar_values(&self.gauges)
+    }
+
+    /// `(rendered series name, one consistent read)` of every histogram,
+    /// in exposition order.
+    pub(crate) fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
+        self.histograms
+            .read()
+            .expect("metrics lock")
+            .iter()
+            .map(|(k, h)| (k.render(), h.snapshot()))
+            .collect()
+    }
+
     /// Prometheus-style text exposition of every series, deterministically
     /// ordered.
     pub fn render_prometheus(&self) -> String {
@@ -375,23 +397,19 @@ impl Registry {
     /// "histograms": {...}}` with label-rendered series names as keys.
     pub fn snapshot_json(&self) -> serde_json::Value {
         use serde_json::Value;
-        let scalar_map = |map: &RwLock<BTreeMap<SeriesKey, Arc<AtomicF64>>>| {
+        let scalar_map = |values: Vec<(String, f64)>| {
             Value::Object(
-                map.read()
-                    .expect("metrics lock")
-                    .iter()
-                    .map(|(k, v)| (k.render(), Value::Float(v.get())))
+                values
+                    .into_iter()
+                    .map(|(k, v)| (k, Value::Float(v)))
                     .collect(),
             )
         };
         let histograms = Value::Object(
-            self.histograms
-                .read()
-                .expect("metrics lock")
-                .iter()
-                .map(|(k, h)| {
+            self.histogram_snapshots()
+                .into_iter()
+                .map(|(k, snap)| {
                     // One snapshot so "count" equals the +Inf bucket.
-                    let snap = h.snapshot();
                     let buckets = Value::Array(
                         snap.cumulative
                             .into_iter()
@@ -408,7 +426,7 @@ impl Registry {
                             .collect(),
                     );
                     (
-                        k.render(),
+                        k,
                         serde_json::json!({
                             "buckets": buckets,
                             "sum": snap.sum,
@@ -419,11 +437,20 @@ impl Registry {
                 .collect(),
         );
         serde_json::json!({
-            "counters": scalar_map(&self.counters),
-            "gauges": scalar_map(&self.gauges),
+            "counters": scalar_map(self.counter_values()),
+            "gauges": scalar_map(self.gauge_values()),
             "histograms": histograms,
         })
     }
+}
+
+/// `(rendered series name, value)` of every series in a scalar map.
+fn scalar_values(map: &RwLock<BTreeMap<SeriesKey, Arc<AtomicF64>>>) -> Vec<(String, f64)> {
+    map.read()
+        .expect("metrics lock")
+        .iter()
+        .map(|(k, v)| (k.render(), v.get()))
+        .collect()
 }
 
 #[cfg(test)]

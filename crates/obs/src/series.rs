@@ -89,30 +89,11 @@ impl TimeSeriesStore {
     /// non-decreasing order; a sample at a tick already at the head
     /// replaces it (a re-sample within the same epoch).
     pub fn sample(&mut self, tick: u64, registry: &Registry) {
-        let snap = registry.snapshot_json();
-        let mut counters = BTreeMap::new();
-        let mut gauges = BTreeMap::new();
-        let scalar_map = |v: Option<&Value>| -> Vec<(String, f64)> {
-            v.and_then(Value::as_object)
-                .map(|fields| {
-                    fields
-                        .iter()
-                        .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        counters.extend(scalar_map(snap.get("counters")));
-        gauges.extend(scalar_map(snap.get("gauges")));
-        if let Some(hists) = snap.get("histograms").and_then(Value::as_object) {
-            for (name, h) in hists {
-                if let Some(count) = h.get("count").and_then(Value::as_f64) {
-                    counters.insert(format!("{name}_count"), count);
-                }
-                if let Some(sum) = h.get("sum").and_then(Value::as_f64) {
-                    counters.insert(format!("{name}_sum"), sum);
-                }
-            }
+        let mut counters: BTreeMap<String, f64> = registry.counter_values().into_iter().collect();
+        let gauges = registry.gauge_values().into_iter().collect();
+        for (name, h) in registry.histogram_snapshots() {
+            counters.insert(format!("{name}_count"), h.count as f64);
+            counters.insert(format!("{name}_sum"), h.sum);
         }
         self.record(tick, counters, gauges);
     }
@@ -374,6 +355,61 @@ mod tests {
         assert_eq!(s.counters.get("lat_sum"), Some(&0.5));
         assert_eq!(s.gauges.get("depth"), Some(&2.5));
         assert_eq!(store.value("depth"), Some(2.5));
+    }
+
+    /// The sample the registry's JSON snapshot yields, parsed back: the
+    /// reference the direct read must reproduce.
+    fn sample_via_json(registry: &Registry) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
+        let snap = registry.snapshot_json();
+        let scalar_map = |v: Option<&Value>| -> Vec<(String, f64)> {
+            v.and_then(Value::as_object)
+                .map(|fields| {
+                    fields
+                        .iter()
+                        .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
+                        .collect()
+                })
+                .unwrap_or_default()
+        };
+        let mut counters = BTreeMap::new();
+        let mut gauges = BTreeMap::new();
+        counters.extend(scalar_map(snap.get("counters")));
+        gauges.extend(scalar_map(snap.get("gauges")));
+        if let Some(hists) = snap.get("histograms").and_then(Value::as_object) {
+            for (name, h) in hists {
+                if let Some(count) = h.get("count").and_then(Value::as_f64) {
+                    counters.insert(format!("{name}_count"), count);
+                }
+                if let Some(sum) = h.get("sum").and_then(Value::as_f64) {
+                    counters.insert(format!("{name}_sum"), sum);
+                }
+            }
+        }
+        (counters, gauges)
+    }
+
+    #[test]
+    fn direct_sample_matches_the_json_snapshot_route() {
+        let reg = reg_with(10.0, 2.5);
+        reg.counter_with("moves_total", &[("chain", "1")]).add(3.0);
+        reg.counter_with("moves_total", &[("chain", "0")]).add(4.0);
+        reg.gauge_with("depth", &[("site", "2")]).set(-1.5);
+        let h = reg.histogram("lat", &[0.1, 1.0]);
+        for v in [0.05, 0.5, 7.0] {
+            h.observe(v);
+        }
+        // A counter named like a histogram fold: the fold overwrites it
+        // on both routes.
+        reg.counter("lat_count").add(99.0);
+        let mut store = TimeSeriesStore::new(4);
+        store.sample(3, &reg);
+        let s = store.latest().expect("one sample");
+        let (counters, gauges) = sample_via_json(&reg);
+        assert_eq!(s.counters, counters);
+        assert_eq!(s.gauges, gauges);
+        assert_eq!(s.counters.get("lat_count"), Some(&3.0));
+        assert_eq!(s.counters.get("moves_total{chain=\"0\"}"), Some(&4.0));
+        assert_eq!(s.gauges.get("depth{site=\"2\"}"), Some(&-1.5));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   accumulator under exponential decay or sliding windows that
 //!   materializes fresh [`vpart_model::Instance`] snapshots on demand.
 //!   Feed it ingested instances (any `vpart_ingest` frontend), raw
-//!   execution streams (`vpart_engine::Trace`), or direct counts.
+//!   execution streams (`vpart_engine::ReplayStream`), or direct counts.
 //! * [`drift`] — [`assess_drift`], which re-scores the incumbent
 //!   [`vpart_model::Partitioning`] against the current snapshot and
 //!   triggers a re-solve when its objective-(6) regression over a cheap
@@ -22,8 +22,9 @@
 //!   Hungarian min-cost assignment on fragment-byte overlap (renumbered
 //!   -but-identical sites move zero bytes) and diffs it into a
 //!   [`vpart_model::MigrationPlan`];
-//!   `vpart_engine::Deployment::apply_migration` executes the plan and
-//!   meters exactly the estimated bytes.
+//!   `vpart_engine::Deployment::migrate_batched` executes the batched
+//!   plan through a write-ahead journal and meters exactly the estimated
+//!   bytes.
 //! * [`watch`] — [`Watcher`], the epoch loop gluing the above together
 //!   (the `vpart watch` CLI command drives it).
 //!

@@ -155,7 +155,7 @@ pub fn canonicalize_against(
 /// [`MigrationPlan`] whose byte estimates assume `rows_per_fragment` rows
 /// per fragment (the `vpart_engine::Deployment` materialization
 /// parameter — plans built with the deployment's row count are metered
-/// exactly by `apply_migration`).
+/// exactly by `migrate_batched`).
 pub fn plan_migration(
     instance: &Instance,
     old: &Partitioning,

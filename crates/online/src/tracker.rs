@@ -23,8 +23,8 @@
 //! [`Partitioning`](vpart_model::Partitioning) solved on one snapshot maps
 //! onto the next by transaction id.
 //!
-//! Raw execution streams — e.g. `vpart_engine::Trace::executions` — feed
-//! the tracker through [`OnlineWorkload::observe_executions`].
+//! Raw execution streams — e.g. `vpart_engine::ReplayStream::executions`
+//! — feed the tracker through [`OnlineWorkload::observe_executions`].
 //!
 //! # Snapshots
 //!
@@ -326,9 +326,9 @@ impl OnlineWorkload {
         Ok(())
     }
 
-    /// Observes a raw execution stream (e.g. `Trace::executions` from the
-    /// engine): each entry is one execution of the template with that
-    /// transaction id.
+    /// Observes a raw execution stream (e.g. `ReplayStream::executions`
+    /// from the engine): each entry is one execution of the template with
+    /// that transaction id.
     pub fn observe_executions(&mut self, executions: &[TxnId]) -> Result<(), OnlineError> {
         for &t in executions {
             self.observe(t.index(), 1.0)?;
@@ -357,9 +357,9 @@ impl OnlineWorkload {
         Ok(total)
     }
 
-    /// Observes a replayed execution stream (`ReplayStream::executions` /
-    /// `Trace::executions` from `vpart_engine`) whose transaction ids
-    /// refer to `instance` — the watch loop's engine-speed feeding path.
+    /// Observes a replayed execution stream (`ReplayStream::executions`
+    /// from `vpart_engine`) whose transaction ids refer to `instance` —
+    /// the watch loop's engine-speed feeding path.
     ///
     /// One engine execution of transaction `t` runs every query at its
     /// workload frequency, which is `weight_t` tracker units (one unit =

@@ -17,7 +17,8 @@
 //!                                             │
 //!                          migrate::plan_migration(old → new)
 //!                                             │
-//!                          Deployment::apply_migration (bytes metered)
+//!               MigrationPlan::batched → Deployment::migrate_batched
+//!                          (journaled, bytes metered)
 //! ```
 //!
 //! The first epoch with traffic bootstraps the incumbent with a cold

@@ -1,12 +1,16 @@
 //! Migration correctness across the stack: canonicalization is idempotent
 //! on real solver outputs, zero-drift snapshots plan zero movement, and
-//! the engine's migration byte meter equals the plan estimate exactly on
-//! TPC-C and the web-shop workload.
+//! the engine's journaled migration byte meter equals the plan estimate
+//! exactly on TPC-C and the web-shop workload, whether the plan runs as
+//! one batch or many.
 
 use vpart_core::sa::{SaConfig, SaSolver};
 use vpart_core::CostConfig;
-use vpart_engine::Deployment;
-use vpart_model::{Instance, Partitioning, SiteId};
+use vpart_engine::{
+    BatchedMigrationReport, Deployment, FaultInjector, JournalRecord, MigrationJournal,
+    ReplayStream,
+};
+use vpart_model::{Instance, MigrationPlan, Partitioning, SiteId};
 use vpart_online::{canonicalize_against, plan_migration};
 
 fn web_shop() -> Instance {
@@ -31,6 +35,38 @@ fn solved(instance: &Instance, sites: usize, seed: u64) -> Partitioning {
         .partitioning
 }
 
+/// Install-byte budgets per batch: one atomic batch, and a budget small
+/// enough to split the plans into many batches.
+const BUDGETS: [f64; 2] = [f64::INFINITY, 512.0];
+
+/// Migrates a fresh deployment at `plan.from` to completion through a
+/// journal, batched at `budget`. Every commit record must meter exactly
+/// its batch's estimate.
+fn migrate<'a>(
+    ins: &'a Instance,
+    plan: &MigrationPlan,
+    budget: f64,
+) -> (Deployment<'a>, BatchedMigrationReport) {
+    let batched = plan.batched(ins, budget).unwrap();
+    let mut dep = Deployment::new(ins, &plan.from, plan.rows_per_fragment).unwrap();
+    let mut journal = MigrationJournal::new();
+    let report = dep
+        .migrate_batched(&batched, &mut journal, &mut FaultInjector::disabled())
+        .unwrap();
+    assert!(report.completed);
+    let committed: Vec<f64> = journal
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::BatchCommit { bytes, .. } => Some(*bytes),
+            _ => None,
+        })
+        .collect();
+    let estimated: Vec<f64> = batched.batches.iter().map(|b| b.bytes).collect();
+    assert_eq!(committed, estimated, "per-batch meter at budget {budget}");
+    (dep, report)
+}
+
 /// Applies a site-label permutation.
 fn permuted(p: &Partitioning, perm: &[usize]) -> Partitioning {
     let x = p
@@ -53,19 +89,19 @@ fn meter_equals_estimate_on_tpcc() {
     let old = solved(&ins, 3, 1);
     let new = solved(&ins, 3, 99);
     let plan = plan_migration(&ins, &old, &new, 64).unwrap();
-    let mut dep = Deployment::new(&ins, &old, 64).unwrap();
-    let report = dep.apply_migration(&plan).unwrap();
-    assert_eq!(
-        report.bytes_moved,
-        plan.estimated_bytes(),
-        "TPC-C migration meter must equal the plan estimate exactly"
-    );
-    for (measured, change) in report.per_change_bytes.iter().zip(&plan.changes) {
-        assert_eq!(*measured, change.bytes);
+    for budget in BUDGETS {
+        let (mut dep, report) = migrate(&ins, &plan, budget);
+        assert_eq!(
+            report.bytes_moved,
+            plan.estimated_bytes(),
+            "TPC-C migration meter must equal the plan estimate exactly (budget {budget})"
+        );
+        assert_eq!(dep.partitioning(), &plan.to);
+        // The migrated deployment executes the workload it was re-fit for.
+        dep.execute(&ReplayStream::uniform(&ins, 1, 0).executions)
+            .unwrap();
     }
-    assert_eq!(dep.partitioning(), &plan.to);
-    // The migrated deployment executes the workload it was re-fit for.
-    dep.execute(&vpart_engine::Trace::uniform(&ins, 1)).unwrap();
+    assert!(plan.batched(&ins, 512.0).unwrap().n_batches() > 1);
 }
 
 #[test]
@@ -74,16 +110,17 @@ fn meter_equals_estimate_on_web_shop() {
     let old = solved(&ins, 2, 7);
     let new = solved(&ins, 2, 31);
     let plan = plan_migration(&ins, &old, &new, 32).unwrap();
-    let mut dep = Deployment::new(&ins, &old, 32).unwrap();
-    let report = dep.apply_migration(&plan).unwrap();
-    assert_eq!(
-        report.bytes_moved,
-        plan.estimated_bytes(),
-        "web-shop migration meter must equal the plan estimate exactly"
-    );
-    assert_eq!(report.installs, plan.installs());
-    assert_eq!(report.drops, plan.drops());
-    assert_eq!(report.txns_rerouted, plan.txn_moves.len());
+    for budget in BUDGETS {
+        let (_, report) = migrate(&ins, &plan, budget);
+        assert_eq!(
+            report.bytes_moved,
+            plan.estimated_bytes(),
+            "web-shop migration meter must equal the plan estimate exactly (budget {budget})"
+        );
+        assert_eq!(report.installs, plan.installs());
+        assert_eq!(report.drops, plan.drops());
+        assert_eq!(report.txns_rerouted, plan.txn_moves.len());
+    }
 }
 
 #[test]
@@ -116,8 +153,7 @@ fn zero_drift_produces_an_empty_plan() {
         );
         assert_eq!(plan.to, old);
         // And the empty plan applies as a no-op.
-        let mut dep = Deployment::new(&ins, &old, 16).unwrap();
-        let report = dep.apply_migration(&plan).unwrap();
+        let (dep, report) = migrate(&ins, &plan, f64::INFINITY);
         assert_eq!(report.bytes_moved, 0.0);
         assert_eq!(dep.partitioning(), &old);
     }

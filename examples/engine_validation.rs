@@ -24,7 +24,9 @@ fn main() {
         "deployed TPC-C over 3 sites: {} bytes materialized across fragments",
         dep.stored_bytes()
     );
-    let measured = dep.execute(&Trace::uniform(&instance, rounds)).unwrap();
+    let measured = dep
+        .execute(&ReplayStream::uniform(&instance, rounds, 0).executions)
+        .unwrap();
     let k = rounds as f64;
     let t = measured.totals();
 

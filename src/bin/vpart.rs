@@ -7,9 +7,8 @@
 //!                [--layout] [--json]
 //! vpart solve    --schema schema.sql --log queries.log --sites 2 ...
 //! vpart ingest   --schema schema.sql --log queries.log [--out instance.json]
-//! vpart simulate --instance tpcc --sites 2 [--rounds 5] [--seed 42]
 //! vpart replay   --instance tpcc --sites 3 [--partitioning part.json]
-//!                [--threads 4] [--duration 1] [--txns 1000] [--rows 256]
+//!                [--threads 4] [--duration 1] [--txns 1000 | --rounds 2] [--rows 256]
 //!                [--shards 32] [--skew zipf:0.99] [--fault replay.pass:nth=1]
 //!                [--error-bound 0.15] [--json]
 //! vpart watch    --schema schema.sql --log p1.log,p2.log --sites 2
@@ -23,8 +22,10 @@
 //!                [--rules rules.json] [--json]
 //! ```
 //!
-//! `solve` and `watch` take `--trace-out FILE` (structured span/event
-//! trace, JSONL) and `--metrics-out FILE` (Prometheus-style exposition);
+//! Every command rejects a flag it does not read (see [`declared_flags`]).
+//! `solve`, `replay` and `watch` take `--trace-out FILE` (structured
+//! span/event trace, JSONL) and `--metrics-out FILE` (Prometheus-style
+//! exposition);
 //! `inspect` summarizes a recorded trace. `watch` and `replay` also take
 //! the live-health flags `--health-out FILE` (time-series + alert
 //! snapshot, rewritten each tick), `--alerts-exit` (exit non-zero while
@@ -36,7 +37,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use vpart::core::{evaluate, CostConfig};
-use vpart::engine::{Deployment, Trace};
 use vpart::ingest::{IngestOptions, StatsFormat};
 use vpart::model::{report, Partitioning};
 use vpart::obs::{AlertEvent, HealthMonitor, HealthSnapshot, TimeSeriesStore};
@@ -50,30 +50,38 @@ fn usage() -> &'static str {
        vpart list     [--json]\n\
        vpart solve    --instance <name|file.json> --sites <k> [--algo qp|sa|exact]\n\
                       [--p <f>] [--lambda <f>] [--disjoint] [--seed <n>]\n\
-                      [--restarts <n>] [--threads <n>]\n\
+                      [--restarts <n>] [--threads <n>] [--probe-levels <n>]\n\
                       [--time-limit <secs>] [--layout] [--json]\n\
                       [--trace-out <file.jsonl>] [--metrics-out <file.prom>]\n\
        vpart solve    --schema <ddl.sql> --log <queries.log> --sites <k> [...]\n\
        vpart solve    --schema <ddl.sql> --stats <dump> --stats-format <fmt> ...\n\
+                      [--name <s>] [--text-width <bytes>] [--default-rows <n>]\n\
+                      [--sample-rate <f>] [--confidence-min <n>] [--lenient]\n\
        vpart ingest   --schema <ddl.sql> (--log <queries.log> |\n\
                       --stats <dump> [--stats-format pgss-csv|pgss-json|perf-schema])\n\
                       [--out <file.json>] [--name <s>] [--text-width <bytes>]\n\
                       [--default-rows <n>] [--sample-rate <f>] [--confidence-min <n>]\n\
                       [--lenient] [--strict] [--json]\n\
-       vpart simulate --instance <name> --sites <k> [--rounds <n>] [--seed <n>]\n\
        vpart replay   --instance <name|file.json> --sites <k>\n\
                       [--partitioning <part.json>] [--threads <n>] [--shards <n>]\n\
                       [--rows <n>] [--txns <n> | --rounds <n>] [--duration <secs>]\n\
                       [--seed <n>] [--skew uniform|zipf:<theta>|hotspot:<frac>]\n\
-                      [--fault <point:trigger,...>] [--error-bound <f>] [--json]\n\
+                      [--p <f>] [--lambda <f>] [--fault <point:trigger,...>]\n\
+                      [--error-bound <f>] [--json]\n\
                       [--trace-out <file.jsonl>] [--metrics-out <file.prom>]\n\
                       [--health-out <file.json>] [--alerts-exit]\n\
                       [--rules <rules.json>] [--flight-dir <dir>]\n\
-       vpart replay   --schema <ddl.sql> --log <queries.log> --sites <k> [...]\n\
+       vpart replay   --schema <ddl.sql> (--log <queries.log> | --stats <dump>\n\
+                      [--stats-format <fmt>]) --sites <k> [--name <s>]\n\
+                      [--text-width <bytes>] [--default-rows <n>] [--sample-rate <f>]\n\
+                      [--confidence-min <n>] [--lenient] [...]\n\
        vpart watch    --schema <ddl.sql> (--log <p1,p2,...> | --stats <p1,p2,...>\n\
                       [--stats-format <fmt>]) --sites <k> [--interval <epochs>]\n\
                       [--decay <f> | --window <n>] [--drift-threshold <f>]\n\
+                      [--p <f>] [--lambda <f>] [--seed <n>]\n\
                       [--rows <n>] [--restarts <n>] [--threads <n>]\n\
+                      [--text-width <bytes>] [--default-rows <n>]\n\
+                      [--sample-rate <f>] [--confidence-min <n>] [--lenient]\n\
                       [--hysteresis <epochs>] [--amortize-epochs <n>]\n\
                       [--max-retries <n>] [--migration-batch-bytes <B>]\n\
                       [--fault <point:trigger,...>] [--json]\n\
@@ -94,7 +102,8 @@ fn usage() -> &'static str {
      per-statement ingestion report; see README \"Bring your own workload\").\n\
      --sample-rate scales sampled inputs up to population estimates;\n\
      --strict exits non-zero when any skip or low-confidence diagnostic\n\
-     remains. --restarts runs that many independent SA chains (seeds\n\
+     remains. Every command rejects a flag it does not read.\n\
+     --restarts runs that many independent SA chains (seeds\n\
      seed..seed+n) over at most --threads OS threads and keeps the best;\n\
      results depend only on (seed, restarts), not on --threads, unless\n\
      a chain is cut off by --time-limit (flagged in the restart stats).\n\
@@ -109,6 +118,8 @@ fn usage() -> &'static str {
      bytes vs the cost model's prediction. Byte meters are bit-identical\n\
      across thread counts (fixed --shards row-range shards). The replayed\n\
      stream also feeds the online tracker (tracker weight in the output).\n\
+     It also prints objective (4), the single-sited executions of one\n\
+     pass and the bytes stored across sites.\n\
      --error-bound exits non-zero when |model error| exceeds the bound.\n\
      --skew picks the row-touch distribution inside each table\n\
      (uniform, zipf:<theta> with 0<theta<1, or hotspot:<frac> sending\n\
@@ -173,13 +184,90 @@ fn usage() -> &'static str {
      deterministic pass), seed = 42, skew = uniform."
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The workload-ingestion flags of `vpart ingest`, shared by every command
+/// that ingests a schema plus a query log or statistics dump.
+const INGEST_FLAGS: &str =
+    "schema log stats stats-format text-width default-rows sample-rate confidence-min lenient";
+/// The trace and metrics outputs (`solve`, `replay`, `watch`).
+const OBS_FLAGS: &str = "trace-out metrics-out";
+/// The live-health flags (`replay`, `watch`).
+const HEALTH_FLAGS: &str = "health-out alerts-exit rules flight-dir";
+
+/// The flags `vpart <cmd>` reads; any other flag is an error. A flag a
+/// command only probes (`solve` checks `--health-out` to switch on
+/// observability) is not declared for it.
+fn declared_flags(cmd: &str) -> Vec<&'static str> {
+    let groups: &[&str] = match cmd {
+        "list" => &["json"],
+        "ingest" => &[INGEST_FLAGS, "name out strict json"],
+        "solve" => &[
+            INGEST_FLAGS,
+            OBS_FLAGS,
+            "name instance sites algo p lambda disjoint seed restarts threads probe-levels \
+             time-limit layout json",
+        ],
+        "replay" => &[
+            INGEST_FLAGS,
+            OBS_FLAGS,
+            HEALTH_FLAGS,
+            "name instance sites partitioning threads shards rows txns rounds duration seed \
+             skew p lambda fault error-bound json",
+        ],
+        // Each phase is named after its file, so watch reads no --name.
+        "watch" => &[
+            INGEST_FLAGS,
+            OBS_FLAGS,
+            HEALTH_FLAGS,
+            "sites interval decay window drift-threshold p lambda seed rows restarts threads \
+             hysteresis amortize-epochs max-retries migration-batch-bytes fault json",
+        ],
+        "inspect" => &["health journal"],
+        "monitor" => &["follow poll-ms max-polls metrics rules json"],
+        _ => &[],
+    };
+    groups.iter().flat_map(|g| g.split_whitespace()).collect()
+}
+
+/// The error for a flag `vpart <cmd>` does not read, naming the closest
+/// declared flag when one is near.
+fn unknown_flag(cmd: &str, key: &str, declared: &[&str]) -> String {
+    let hint = declared
+        .iter()
+        .map(|&f| (edit_distance(key, f), f))
+        .filter(|&(d, f)| d <= 2 || key.starts_with(f) || f.starts_with(key))
+        .min()
+        .map(|(_, f)| format!(" (did you mean --{f}?)"))
+        .unwrap_or_default();
+    format!("unknown flag --{key} for vpart {cmd}{hint}")
+}
+
+/// Levenshtein distance over chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let up = row[j + 1];
+            row[j + 1] = (diag + usize::from(ca != cb)).min(row[j] + 1).min(up + 1);
+            diag = up;
+        }
+    }
+    row[b.len()]
+}
+
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let declared = declared_flags(cmd);
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("unexpected argument {:?}", args[i]))?;
+        if !declared.contains(&key) {
+            return Err(unknown_flag(cmd, key, &declared));
+        }
         match key {
             "disjoint" | "layout" | "json" | "lenient" | "strict" | "follow" | "alerts-exit" => {
                 flags.insert(key.to_owned(), "true".to_owned());
@@ -693,59 +781,6 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
-    let ins = load_instance(&flags, &Obs::disabled())?;
-    let sites: usize = get(&flags, "sites", 2)?;
-    let rounds: usize = get(&flags, "rounds", 5)?;
-    let seed: u64 = get(&flags, "seed", 0xC0FFEE)?;
-    let cost = cost_config(&flags)?;
-
-    let r = SaSolver::new(SaConfig {
-        seed,
-        ..Default::default()
-    })
-    .solve(&ins, sites, &cost)
-    .map_err(|e| e.to_string())?;
-    let predicted = &r.breakdown;
-    let mut dep = Deployment::new(&ins, &r.partitioning, 64).map_err(|e| e.to_string())?;
-    let measured = dep
-        .execute(&Trace::uniform(&ins, rounds))
-        .map_err(|e| e.to_string())?;
-    let k = rounds as f64;
-    let t = measured.totals();
-
-    println!("instance {} on {sites} sites, {rounds} rounds", ins.name());
-    println!("                 predicted(×{rounds})   measured");
-    println!(
-        "bytes read       {:>14.1} {:>14.1}",
-        k * predicted.read,
-        t.bytes_read
-    );
-    println!(
-        "bytes written    {:>14.1} {:>14.1}",
-        k * predicted.write,
-        t.bytes_written
-    );
-    println!(
-        "bytes shipped    {:>14.1} {:>14.1}",
-        k * predicted.transfer,
-        measured.transfer_bytes
-    );
-    println!(
-        "objective (4)    {:>14.1} {:>14.1}",
-        k * predicted.objective4,
-        measured.measured_objective4(cost.p)
-    );
-    println!(
-        "single-sited executions: {}/{} ({:.0}%)",
-        measured.single_sited_executions,
-        measured.executions,
-        measured.single_sited_ratio() * 100.0
-    );
-    println!("stored bytes across sites: {}", dep.stored_bytes());
-    Ok(())
-}
-
 /// Loads `--partitioning`: either a bare [`Partitioning`] JSON or a
 /// `vpart solve --json` output (its `partitioning` field).
 fn load_partitioning(path: &str, ins: &Instance) -> Result<Partitioning, String> {
@@ -822,6 +857,25 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         predicted.transferred += c as f64 * per_txn[t].transferred;
     }
 
+    // An execution is single-sited when none of its write queries touches
+    // an attribute with a replica off its home site: the rule
+    // `Deployment::execute` counts by.
+    let single_sited = |t: usize| {
+        let txn = TxnId::from_index(t);
+        let home = part.site_of(txn);
+        ins.workload().txn(txn).queries.iter().all(|&q| {
+            let q = ins.workload().query(q);
+            !q.kind.is_write()
+                || q.attrs
+                    .iter()
+                    .all(|&a| part.attr_sites(a).all(|s| s == home))
+        })
+    };
+    let single_sited_executions: usize = (0..counts.len())
+        .filter(|&t| single_sited(t))
+        .map(|t| counts[t])
+        .sum();
+
     let mut dep = ReplayDeployment::new(&ins, &part, rows, shards).map_err(|e| e.to_string())?;
     dep = dep.with_obs(obs.clone());
     if let Some(monitor) = health_from_flags(&flags)? {
@@ -861,6 +915,7 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         .as_ref()
         .ok_or_else(|| "replay always carries a prediction here".to_owned())?;
     let totals = report.totals();
+    let objective4 = |b: &PredictedBytes| b.read + b.written + cost.p * b.transferred;
     if flags.contains_key("json") {
         let per_site: Vec<serde_json::Value> = report
             .per_site
@@ -913,6 +968,8 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
                 "model_error_ratio": me.overall_ratio,
                 "model_error": error_json,
                 "meter": meter_json,
+                "single_sited_executions": single_sited_executions,
+                "stored_bytes": dep.stored_bytes(),
                 "tracker_weight": tracker_weight,
                 "tracker_templates": tracker.n_templates(),
             })
@@ -947,9 +1004,20 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
             me.predicted.transferred, report.transfer_bytes
         );
         println!(
+            "objective (4)    {:>14.1} {:>14.1}",
+            objective4(&me.predicted),
+            objective4(&me.measured)
+        );
+        println!(
             "model error      {:+.4} overall (read {:+.4}, write {:+.4}, transfer {:+.4})",
             me.overall_ratio, me.read_ratio, me.write_ratio, me.transfer_ratio
         );
+        println!(
+            "single-sited     {single_sited_executions}/{} executions ({:.0}%)",
+            report.stream_len,
+            100.0 * single_sited_executions as f64 / report.stream_len as f64
+        );
+        println!("stored bytes     {} across sites", dep.stored_bytes());
         println!(
             "rows touched     {} read, {} written; checksum {:#018x}",
             report.rows_read, report.rows_written, report.checksum
@@ -1286,12 +1354,19 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             print!("\n{}", render_health(snap)?);
             Ok(())
         }
-        _ => Err(
-            "usage: vpart inspect <trace.jsonl> [--health <snap.json>] | \
-             vpart inspect --journal <journal.jsonl> [--health <snap.json>] | \
-             vpart inspect --health <snap.json>"
-                .to_owned(),
-        ),
+        _ => {
+            let declared = declared_flags("inspect");
+            let mut keys = args.iter().filter_map(|a| a.strip_prefix("--"));
+            if let Some(key) = keys.find(|k| !declared.contains(k)) {
+                return Err(unknown_flag("inspect", key, &declared));
+            }
+            Err(
+                "usage: vpart inspect <trace.jsonl> [--health <snap.json>] | \
+                 vpart inspect --journal <journal.jsonl> [--health <snap.json>] | \
+                 vpart inspect --health <snap.json>"
+                    .to_owned(),
+            )
+        }
     }
 }
 
@@ -1464,7 +1539,7 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     if path.starts_with("--") {
         return Err(USAGE.to_owned());
     }
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags("monitor", rest)?;
     let json = flags.contains_key("json");
     if flags.contains_key("follow") {
         return monitor_follow(path, &flags, json);
@@ -1584,12 +1659,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match cmd.as_str() {
-        "list" => parse_flags(&args[1..]).and_then(cmd_list),
-        "solve" => parse_flags(&args[1..]).and_then(cmd_solve),
-        "ingest" => parse_flags(&args[1..]).and_then(cmd_ingest),
-        "simulate" => parse_flags(&args[1..]).and_then(cmd_simulate),
-        "replay" => parse_flags(&args[1..]).and_then(cmd_replay),
-        "watch" => parse_flags(&args[1..]).and_then(cmd_watch),
+        "list" => parse_flags("list", &args[1..]).and_then(cmd_list),
+        "solve" => parse_flags("solve", &args[1..]).and_then(cmd_solve),
+        "ingest" => parse_flags("ingest", &args[1..]).and_then(cmd_ingest),
+        "replay" => parse_flags("replay", &args[1..]).and_then(cmd_replay),
+        "watch" => parse_flags("watch", &args[1..]).and_then(cmd_watch),
         "inspect" => cmd_inspect(&args[1..]),
         "monitor" => cmd_monitor(&args[1..]),
         "help" | "--help" | "-h" => {
@@ -1604,5 +1678,67 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The synopsis lines of `vpart <cmd>` in the USAGE block of `usage()`.
+    fn synopsis(cmd: &str) -> String {
+        let mut out = String::new();
+        let mut current = None;
+        let block = usage()
+            .lines()
+            .skip_while(|l| !l.starts_with("USAGE"))
+            .skip(1)
+            .take_while(|l| !l.trim().is_empty());
+        for line in block.map(str::trim) {
+            if let Some(rest) = line.strip_prefix("vpart ") {
+                current = rest.split_whitespace().next();
+            }
+            if current == Some(cmd) {
+                out.push_str(line);
+                out.push(' ');
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_declared_flag_is_in_its_commands_synopsis() {
+        for cmd in [
+            "list", "ingest", "solve", "replay", "watch", "inspect", "monitor",
+        ] {
+            let text = synopsis(cmd);
+            assert!(!text.is_empty(), "usage has no synopsis for vpart {cmd}");
+            for flag in declared_flags(cmd) {
+                let name = format!("--{flag}");
+                let listed = text.match_indices(&name).any(|(i, _)| {
+                    let next = text[i + name.len()..].chars().next();
+                    !next.is_some_and(|c| c.is_ascii_alphanumeric() || c == '-')
+                });
+                assert!(listed, "vpart {cmd} reads {name} but its synopsis omits it");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flags_name_the_closest_declared_one() {
+        let solve = declared_flags("solve");
+        assert_eq!(
+            unknown_flag("solve", "algorithm", &solve),
+            "unknown flag --algorithm for vpart solve (did you mean --algo?)"
+        );
+        assert_eq!(
+            unknown_flag("solve", "sties", &solve),
+            "unknown flag --sties for vpart solve (did you mean --sites?)"
+        );
+        assert_eq!(
+            unknown_flag("solve", "frobnicate", &solve),
+            "unknown flag --frobnicate for vpart solve"
+        );
+        assert_eq!(edit_distance("kitten", "sitting"), 3);
     }
 }

@@ -64,8 +64,8 @@ pub mod prelude {
     };
     pub use crate::engine::{
         BatchedMigrationReport, Deployment, FaultInjector, FaultTrigger, JournalRecord,
-        JournalState, MigrationJournal, MigrationReport, PredictedBytes, ReplayConfig,
-        ReplayDeployment, ReplayModelError, ReplayReport, ReplayStream, RowSkew, Trace,
+        JournalState, MigrationJournal, PredictedBytes, ReplayConfig, ReplayDeployment,
+        ReplayModelError, ReplayReport, ReplayStream, RowSkew,
     };
     pub use crate::ingest::{
         ConfidenceLevel, IngestError, IngestOptions, IngestReport, Ingestion, StatsFormat,

@@ -222,3 +222,49 @@ fn corrupt_and_missing_journals_error_cleanly() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn every_command_rejects_an_unknown_flag() {
+    for args in [
+        &["list", "--bogus"][..],
+        &["ingest", "--bogus", "x"],
+        &["solve", "--bogus", "x"],
+        &["replay", "--bogus", "x"],
+        &["watch", "--bogus", "x"],
+        &["inspect", "trace.jsonl", "--bogus", "x"],
+        &["monitor", "trace.jsonl", "--bogus", "x"],
+    ] {
+        assert_clean_error(args, &format!("unknown flag --bogus for vpart {}", args[0]));
+    }
+    // A flag one command reads is still unknown to another: solve only
+    // probes --health-out, and no other command takes ingest's --strict.
+    assert_clean_error(
+        &["solve", "--instance", "tpcc", "--health-out", "h.json"],
+        "unknown flag --health-out for vpart solve",
+    );
+    assert_clean_error(
+        &["replay", "--instance", "tpcc", "--strict"],
+        "unknown flag --strict for vpart replay",
+    );
+}
+
+#[test]
+fn a_misspelled_flag_names_the_declared_one() {
+    // This used to run SA and exit 0: the typo was silently ignored.
+    assert_clean_error(
+        &[
+            "solve",
+            "--instance",
+            "tpcc",
+            "--sites",
+            "2",
+            "--algorithm",
+            "qp",
+        ],
+        "unknown flag --algorithm for vpart solve (did you mean --algo?)",
+    );
+    assert_clean_error(
+        &["watch", "--schema", "s.sql", "--drift-treshold", "0.1"],
+        "did you mean --drift-threshold?",
+    );
+}

@@ -26,7 +26,9 @@ fn full_pipeline_on_tpcc() {
 
     // Deploy the QP layout and execute: measured == predicted.
     let mut dep = Deployment::new(&instance, &qp.partitioning, 32).unwrap();
-    let measured = dep.execute(&Trace::uniform(&instance, 2)).unwrap();
+    let measured = dep
+        .execute(&ReplayStream::uniform(&instance, 2, 0).executions)
+        .unwrap();
     let predicted = evaluate(&instance, &qp.partitioning, &cost);
     assert!(
         (measured.measured_objective4(cost.p) - 2.0 * predicted.objective4).abs()

@@ -64,6 +64,52 @@ fn replay_reports_throughput_and_bounded_model_error_on_tpcc() {
     assert!(v.get("tracker_templates").unwrap().as_u64().unwrap() > 0);
 }
 
+/// Uniform rounds replay the cost model's own assumption (`f_q = 1`), so
+/// on TPC-C's integer widths the measured bytes equal the prediction
+/// exactly: the engine-agreement check of the CI step "Replay agreement".
+#[test]
+fn replay_rounds_agree_exactly_with_the_model_on_tpcc() {
+    let args = [
+        "replay",
+        "--instance",
+        "tpcc",
+        "--sites",
+        "2",
+        "--rounds",
+        "2",
+        "--error-bound",
+        "0",
+    ];
+    let out = vpart(&args);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    for line in [
+        "bytes read              32412.0          32412",
+        "bytes written           27896.0          27896",
+        "bytes shipped             600.0            600",
+        "objective (4)           65108.0        65108.0",
+        "model error      +0.0000 overall",
+        "single-sited     4/10 executions (40%)",
+        "stored bytes     ",
+    ] {
+        assert!(text.contains(line), "missing {line:?} in\n{text}");
+    }
+
+    let v = json_stdout(&vpart(&[&args[..], &["--json"]].concat()));
+    assert_eq!(v.get("model_error_ratio").unwrap().as_f64(), Some(0.0));
+    assert_eq!(v.get("stream_len").unwrap().as_u64(), Some(10));
+    assert_eq!(v.get("single_sited_executions").unwrap().as_u64(), Some(4));
+    assert!(v.get("stored_bytes").unwrap().as_u64().unwrap() > 0);
+}
+
+#[test]
+fn simulate_is_an_unknown_command() {
+    let out = vpart(&["simulate", "--instance", "tpcc", "--sites", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command \"simulate\""), "{stderr}");
+}
+
 #[test]
 fn replay_meters_are_identical_across_thread_counts() {
     let run = |threads: &str| {

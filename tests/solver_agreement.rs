@@ -107,7 +107,7 @@ proptest! {
         let predicted = evaluate(&instance, &sa.partitioning, &cost);
         let mut dep = Deployment::new(&instance, &sa.partitioning, 8).unwrap();
         let measured = dep
-            .execute(&vpart::engine::Trace::uniform(&instance, 1))
+            .execute(&vpart::engine::ReplayStream::uniform(&instance, 1, 0).executions)
             .unwrap();
         let t = measured.totals();
         prop_assert!((t.bytes_read - predicted.read).abs() <= 1e-6 * (1.0 + predicted.read));
