@@ -1,9 +1,9 @@
 //! CI benchmark smoke run: solves the TPC-C and web-shop instances,
 //! measures annealing-move throughput (incremental vs full
-//! re-evaluation), replays both workloads through the columnar engine at
-//! production rate (txns/sec and true-byte model error), records wall
-//! time and objective, and writes a `BENCH_<sha>.json` artifact so the
-//! performance trajectory is tracked on every push.
+//! re-evaluation), replays both workloads through the row-store replay
+//! engine at production rate (txns/sec and true-byte model error),
+//! records wall time and objective, and writes a `BENCH_<sha>.json`
+//! artifact so the performance trajectory is tracked on every push.
 //!
 //! ```text
 //! cargo run --release -p vpart_bench --bin bench_smoke -- \
@@ -355,12 +355,13 @@ fn sampler_overhead(instance: &Instance, sites: usize) -> serde_json::Value {
 }
 
 /// Trace-replay benchmark: solves the instance, expands the workload
-/// into a seeded execution stream, replays it through the columnar
-/// engine at production rate and reports txns/sec plus the true-byte
-/// model error against [`predicted_txn_bytes`]. Both numbers land in the
-/// artifact; `--check` gates a >[`THROUGHPUT_TOLERANCE`] throughput drop
-/// against the baseline and a |model error| above [`MODEL_ERROR_BOUND`]
-/// (the latter self-contained — no baseline fields needed).
+/// into a seeded execution stream, replays it through the row-store
+/// replay engine at production rate and reports txns/sec plus the
+/// true-byte model error against [`predicted_txn_bytes`]. Both numbers
+/// land in the artifact; `--check` gates a >[`THROUGHPUT_TOLERANCE`]
+/// throughput drop against the baseline and a |model error| above
+/// [`MODEL_ERROR_BOUND`] (the latter self-contained — no baseline fields
+/// needed).
 fn replay_benchmark(name: &str, instance: &Instance, sites: usize, seed: u64) -> serde_json::Value {
     let cost = CostConfig::default();
     let part = SaSolver::new(SaConfig::fast_deterministic(seed))

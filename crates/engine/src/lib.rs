@@ -49,4 +49,4 @@ pub use replay::{
     PredictedBytes, ReplayConfig, ReplayDeployment, ReplayModelError, ReplayReport, ReplayStream,
     RowSkew, SiteBytes,
 };
-pub use storage::{ColumnFragment, Fragment, Site};
+pub use storage::{Fragment, RowSegment, Site};

@@ -6,15 +6,20 @@
 //! harder question: how far is the model from what an executor moving
 //! **physical** bytes at full speed actually does?
 //!
-//! A [`ReplayDeployment`] materializes the partitioning as columnar
-//! storage ([`ColumnFragment`]) split into a fixed number of contiguous
+//! A [`ReplayDeployment`] materializes the partitioning as row-major
+//! storage ([`RowSegment`]) split into a fixed number of contiguous
 //! *row-range shards*. A [`ReplayStream`] expands an instance into a
 //! seeded, deterministic stream of row-level touches.
 //! [`ReplayDeployment::replay`] runs the stream on `std::thread::scope`
-//! workers, each owning a contiguous chunk of shards outright:
+//! workers, each owning a contiguous run of shards outright:
 //!
-//! * every worker walks the **whole** stream and executes only the
-//!   touches whose row falls in its shards — row ownership, no locks;
+//! * the stream is cut into blocks of a bounded number of touches; within
+//!   a block every worker expands a contiguous slice of executions and
+//!   routes each touch, hashed once, to the outbox of the worker that
+//!   owns its row;
+//! * after a barrier, each worker executes the outboxes addressed to it
+//!   in producer order — the slices are contiguous and in order, so every
+//!   shard sees its touches in stream order, with no locks on storage;
 //! * byte meters are per-shard `u64`s merged in shard order, so totals
 //!   are **bit-identical across thread counts** (the shard count, not the
 //!   thread count, fixes the summation structure);
@@ -31,9 +36,11 @@
 //! vs. physical rounded-up columns and integer rows).
 
 use crate::faults::{FaultInjector, FP_REPLAY_PASS};
-use crate::storage::ColumnFragment;
+use crate::storage::RowSegment;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use vpart_model::{AttrId, Instance, Partitioning, TxnId};
 use vpart_obs::{HealthMonitor, Obs};
@@ -46,6 +53,11 @@ use crate::executor::EngineError;
 pub const DEFAULT_SHARDS: usize = 32;
 
 const FNV_PRIME: u64 = 1099511628211;
+
+/// Row touches one worker routes per block: a block of `T` workers routes
+/// at most `T × SLICE_TOUCHES` 8-byte touches (more only when a single
+/// execution exceeds the budget), which bounds the routing buffers.
+const SLICE_TOUCHES: usize = 1 << 12;
 
 /// splitmix64 finalizer: the row-touch hash.
 #[inline]
@@ -431,7 +443,8 @@ pub struct ReplayReport {
     pub checksum: u64,
     /// Wall time across all passes.
     pub elapsed: Duration,
-    /// Worker threads used.
+    /// Workers that ran: `min(threads, shards)`, each owning at least
+    /// one shard.
     pub threads: usize,
     /// Row-range shards used.
     pub shards: usize,
@@ -496,13 +509,23 @@ impl ShardMeter {
             ..Self::default()
         }
     }
+
+    /// Zeroes every meter in place.
+    fn reset(&mut self) {
+        self.site_read.fill(0);
+        self.site_written.fill(0);
+        self.transfer = 0;
+        self.rows_read = 0;
+        self.rows_written = 0;
+        self.checksum = 0;
+    }
 }
 
-/// One site's storage inside one shard: columnar fragments per table plus
-/// a preallocated row-assembly buffer reused by every read.
+/// One site's storage inside one shard: row segments per table plus a
+/// preallocated row buffer reused by every read.
 #[derive(Debug, Clone)]
 struct ShardSite {
-    fragments: Vec<Option<ColumnFragment>>,
+    fragments: Vec<Option<RowSegment>>,
     buf: Vec<u8>,
 }
 
@@ -515,21 +538,35 @@ struct StoreShard {
     meter: ShardMeter,
 }
 
+/// What the owner of a touched row does: one table of one query, resolved
+/// to indices and integer widths.
+#[derive(Debug, Clone, Copy)]
+enum TouchOp {
+    /// Read the row's fraction at the transaction's home site.
+    Read { table_idx: usize, home: usize },
+    /// Write the row on every replica site; `transfer_per_row` is
+    /// `Σ_{a∈α∩table} ceil(w_a) × |replicas(a) ∖ {home}|`.
+    Write {
+        table_idx: usize,
+        transfer_per_row: u64,
+    },
+}
+
 /// Per-table touch plan of one query.
 #[derive(Debug, Clone)]
 struct TablePlan {
-    table_idx: usize,
+    /// Stable hash key of the table (`mix(0xAB1E ^ table index)`).
+    key: u64,
     /// Physical rows touched per repetition (`round(n).max(1)`).
     n_phys: usize,
-    /// Physical transfer bytes per touched row: `Σ_{a∈α∩table}
-    /// ceil(w_a) × |replicas(a) ∖ {home}|` (writes only).
-    transfer_per_row: u64,
+    /// Index of this table's [`TouchOp`], shifted left by 8 bits to leave
+    /// room for the write tag.
+    op: u32,
 }
 
 /// Precompiled execution plan of one query.
 #[derive(Debug, Clone)]
 struct QueryPlan {
-    write: bool,
     /// Repetitions per execution (`round(f_q).max(1)` — engine semantics).
     reps: usize,
     /// Stable hash key distinguishing this query's touches.
@@ -540,17 +577,27 @@ struct QueryPlan {
 /// Precompiled plan of one transaction.
 #[derive(Debug, Clone)]
 struct TxnPlan {
-    home: usize,
     queries: Vec<QueryPlan>,
+    /// Row touches of one execution.
+    touches: usize,
 }
 
-/// A partitioning deployed as sharded columnar storage for replay.
+/// One routed row touch: the table row, and the [`TouchOp`] index with
+/// the execution's write tag in its low byte.
+#[derive(Debug, Clone, Copy)]
+struct Touch {
+    row: u32,
+    op: u32,
+}
+
+/// A partitioning deployed as sharded row-major storage for replay.
 #[derive(Debug, Clone)]
 pub struct ReplayDeployment<'a> {
     instance: &'a Instance,
     partitioning: Partitioning,
     shards: Vec<StoreShard>,
     plans: Vec<TxnPlan>,
+    ops: Vec<TouchOp>,
     rows_per_table: usize,
     rows_per_shard: usize,
     obs: Obs,
@@ -558,7 +605,7 @@ pub struct ReplayDeployment<'a> {
 }
 
 impl<'a> ReplayDeployment<'a> {
-    /// Validates `partitioning` and materializes columnar storage:
+    /// Validates `partitioning` and materializes row-major storage:
     /// `rows_per_table` rows of every table, vertically fractioned per
     /// site, split into `shards` contiguous row-range shards.
     pub fn new(
@@ -569,6 +616,11 @@ impl<'a> ReplayDeployment<'a> {
     ) -> Result<Self, EngineError> {
         partitioning.validate(instance, false)?;
         let rows_per_table = rows_per_table.max(1);
+        if u32::try_from(rows_per_table).is_err() {
+            return Err(EngineError::InvalidReplay {
+                what: "rows per table must fit in 32 bits",
+            });
+        }
         let n_shards = shards.clamp(1, rows_per_table);
         let rows_per_shard = rows_per_table.div_ceil(n_shards);
         let schema = instance.schema();
@@ -595,7 +647,7 @@ impl<'a> ReplayDeployment<'a> {
                     if attrs.is_empty() || rows == 0 {
                         fragments.push(None);
                     } else {
-                        let frag = ColumnFragment::new(table, attrs, base, rows);
+                        let frag = RowSegment::new(table, attrs, base, rows);
                         buf_len = buf_len.max(frag.row_width());
                         fragments.push(Some(frag));
                     }
@@ -614,16 +666,19 @@ impl<'a> ReplayDeployment<'a> {
         // Precompile per-transaction touch plans: everything the hot loop
         // needs, resolved to indices and integer widths up front.
         let mut plans = Vec::with_capacity(instance.n_txns());
+        let mut ops = Vec::new();
         for t in 0..instance.n_txns() {
             let txn = TxnId::from_index(t);
             let home = partitioning.site_of(txn);
             let mut queries = Vec::new();
+            let mut touches = 0usize;
             for &qid in &instance.workload().txn(txn).queries {
                 let q = instance.workload().query(qid);
+                let reps = q.frequency.round().max(1.0) as usize;
                 let mut tables = Vec::with_capacity(q.table_rows.len());
                 for &(table, n) in &q.table_rows {
-                    let mut transfer_per_row = 0u64;
-                    if q.kind.is_write() {
+                    let op = if q.kind.is_write() {
+                        let mut transfer_per_row = 0u64;
                         for &a in &q.attrs {
                             if schema.table_of(a) == table {
                                 let w = (schema.width(a).ceil() as u64).max(1);
@@ -633,24 +688,38 @@ impl<'a> ReplayDeployment<'a> {
                                 transfer_per_row += w * remote;
                             }
                         }
-                    }
+                        TouchOp::Write {
+                            table_idx: table.index(),
+                            transfer_per_row,
+                        }
+                    } else {
+                        TouchOp::Read {
+                            table_idx: table.index(),
+                            home: home.index(),
+                        }
+                    };
+                    let op_idx = u32::try_from(ops.len())
+                        .ok()
+                        .filter(|&i| i < 1 << 24)
+                        .ok_or(EngineError::InvalidReplay {
+                            what: "more than 2^24 query table accesses",
+                        })?;
+                    ops.push(op);
+                    let n_phys = n.round().max(1.0) as usize;
+                    touches += reps * n_phys;
                     tables.push(TablePlan {
-                        table_idx: table.index(),
-                        n_phys: n.round().max(1.0) as usize,
-                        transfer_per_row,
+                        key: mix(0xAB1E ^ table.index() as u64),
+                        n_phys,
+                        op: op_idx << 8,
                     });
                 }
                 queries.push(QueryPlan {
-                    write: q.kind.is_write(),
-                    reps: q.frequency.round().max(1.0) as usize,
+                    reps,
                     key: mix(0x5EED_0000_0000_0000 ^ qid.index() as u64),
                     tables,
                 });
             }
-            plans.push(TxnPlan {
-                home: home.index(),
-                queries,
-            });
+            plans.push(TxnPlan { queries, touches });
         }
 
         Ok(Self {
@@ -658,6 +727,7 @@ impl<'a> ReplayDeployment<'a> {
             partitioning: partitioning.clone(),
             shards: store,
             plans,
+            ops,
             rows_per_table,
             rows_per_shard,
             obs: Obs::disabled(),
@@ -714,7 +784,7 @@ impl<'a> ReplayDeployment<'a> {
             .iter()
             .flat_map(|sh| &sh.sites)
             .flat_map(|s| s.fragments.iter().flatten())
-            .map(ColumnFragment::payload_bytes)
+            .map(RowSegment::payload_bytes)
             .sum()
     }
 
@@ -745,7 +815,8 @@ impl<'a> ReplayDeployment<'a> {
         }
         let n_sites = self.partitioning.n_sites();
         let n_shards = self.shards.len();
-        let threads = config.threads.clamp(1, n_shards);
+        let workers = shard_split(n_shards, config.threads);
+        let threads = workers.len();
         let max_passes = config.max_passes.max(1);
         let span = self.obs.span_begin(
             "replay",
@@ -757,7 +828,7 @@ impl<'a> ReplayDeployment<'a> {
         );
 
         for shard in &mut self.shards {
-            shard.meter = ShardMeter::new(n_sites);
+            shard.meter.reset();
         }
 
         let skew = SkewMap::new(config.skew, self.rows_per_table as u64);
@@ -767,7 +838,7 @@ impl<'a> ReplayDeployment<'a> {
         let mut passes_injected = 0usize;
         loop {
             let metered = passes == 0;
-            self.run_pass(stream, threads, metered, skew);
+            self.run_pass(stream, &workers, metered, skew);
             if faults.hit(FP_REPLAY_PASS) {
                 // The pass crashed: recovery rolls its partial writes
                 // back to the durable fill, the metered pass also resets
@@ -789,7 +860,7 @@ impl<'a> ReplayDeployment<'a> {
                         }
                     }
                     if metered {
-                        shard.meter = ShardMeter::new(n_sites);
+                        shard.meter.reset();
                     }
                 }
                 continue;
@@ -889,58 +960,271 @@ impl<'a> ReplayDeployment<'a> {
         Ok(report)
     }
 
-    /// One whole pass over the stream: workers own disjoint shard chunks,
-    /// each walks the full stream and executes only its rows' touches.
-    fn run_pass(&mut self, stream: &ReplayStream, threads: usize, metered: bool, skew: SkewMap) {
-        let plans = &self.plans;
-        let rows_per_shard = self.rows_per_shard;
-        let n_shards = self.shards.len();
-        let chunk = n_shards.div_ceil(threads);
-        let seed = stream.seed;
+    /// One whole pass over the stream, one scoped thread per worker.
+    /// Block by block, every worker routes the touches of its slice to
+    /// their owners, then executes the touches routed to it (see the
+    /// module docs).
+    fn run_pass(
+        &mut self,
+        stream: &ReplayStream,
+        workers: &[Range<usize>],
+        metered: bool,
+        skew: SkewMap,
+    ) {
+        let mut owner_of_shard = Vec::with_capacity(self.shards.len());
+        for (w, range) in workers.iter().enumerate() {
+            owner_of_shard.extend(range.clone().map(|_| w));
+        }
+        let pass = Pass {
+            stream,
+            plans: &self.plans,
+            ops: &self.ops,
+            owner_of_shard,
+            rows_per_shard: self.rows_per_shard,
+            skew,
+            metered,
+            outboxes: std::array::from_fn(|_| {
+                (0..workers.len())
+                    .map(|_| Mutex::new(vec![Vec::new(); workers.len()]))
+                    .collect()
+            }),
+            barrier: PassBarrier::new(workers.len()),
+        };
+        let mut rest = self.shards.as_mut_slice();
         std::thread::scope(|scope| {
-            for (ci, shard_chunk) in self.shards.chunks_mut(chunk).enumerate() {
-                let first_shard = ci * chunk;
-                scope.spawn(move || {
-                    let owned = first_shard..first_shard + shard_chunk.len();
-                    for (exec_idx, txn) in stream.executions.iter().enumerate() {
-                        let plan = &plans[txn.index()];
-                        let exec_key = mix(seed ^ (exec_idx as u64).wrapping_mul(0x9E37_79B9));
-                        let tag = (exec_idx % 251) as u8;
-                        for q in &plan.queries {
-                            for rep in 0..q.reps {
-                                let rep_key = exec_key ^ q.key ^ mix(rep as u64);
-                                for tp in &q.tables {
-                                    let tbl_key = rep_key ^ mix(0xAB1E ^ tp.table_idx as u64);
-                                    for j in 0..tp.n_phys {
-                                        let row = skew.map(mix(tbl_key ^ j as u64));
-                                        let s = row / rows_per_shard;
-                                        if !owned.contains(&s) {
-                                            continue;
-                                        }
-                                        let shard = &mut shard_chunk[s - first_shard];
-                                        if q.write {
-                                            write_touch(shard, tp, row, tag, metered);
-                                        } else {
-                                            read_touch(shard, plan, tp, row, metered);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
+            for (w, range) in workers.iter().enumerate() {
+                let (owned, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                let (pass, first_shard) = (&pass, range.start);
+                scope.spawn(move || pass.work(w, first_shard, owned));
             }
         });
     }
 }
 
-/// Writes one physical row of `tp`'s table on every replica site of the
-/// owning shard and meters physical bytes plus replication transfer.
+/// Contiguous shard ranges for `threads` workers (clamped to
+/// `[1, n_shards]`): the first `S mod T` workers own `⌈S/T⌉` shards, the
+/// rest `⌊S/T⌋`, so every worker owns at least one shard.
+fn shard_split(n_shards: usize, threads: usize) -> Vec<Range<usize>> {
+    let workers = threads.clamp(1, n_shards.max(1));
+    let (share, extra) = (n_shards / workers, n_shards % workers);
+    (0..workers)
+        .map(|w| {
+            let start = w * share + w.min(extra);
+            start..start + share + usize::from(w < extra)
+        })
+        .collect()
+}
+
+/// One worker's outboxes for one block: entry `o` holds the touches it
+/// routed to owner `o`.
+type Outboxes = Mutex<Vec<Vec<Touch>>>;
+
+/// What the workers of one pass share.
+struct Pass<'p> {
+    stream: &'p ReplayStream,
+    plans: &'p [TxnPlan],
+    ops: &'p [TouchOp],
+    /// The worker owning each shard.
+    owner_of_shard: Vec<usize>,
+    rows_per_shard: usize,
+    skew: SkewMap,
+    metered: bool,
+    /// Every worker's outboxes, double-buffered by block parity: block
+    /// `k + 1` is routed into the other set while owners may still be
+    /// executing block `k`, so one barrier per block suffices. The
+    /// buffers grow on the workers' own threads, as the touches need.
+    outboxes: [Vec<Outboxes>; 2],
+    barrier: PassBarrier,
+}
+
+impl Pass<'_> {
+    /// Worker `me`'s whole pass over `owned`, the shards starting at
+    /// `first_shard`.
+    fn work(&self, me: usize, first_shard: usize, owned: &mut [StoreShard]) {
+        let _break_on_panic = BreakOnPanic(&self.barrier);
+        let n_workers = self.outboxes[0].len();
+        let mut next = 0usize;
+        for parity in [0, 1].into_iter().cycle() {
+            if next >= self.stream.len() {
+                return;
+            }
+            // Every worker cuts the same block: `T` consecutive slices
+            // of at most `SLICE_TOUCHES` touches each.
+            let mut mine = next..next;
+            for w in 0..n_workers {
+                let start = next;
+                let mut load = 0usize;
+                while let Some(txn) = self.stream.executions.get(next) {
+                    let touches = self.plans[txn.index()].touches;
+                    if load > 0 && load + touches > SLICE_TOUCHES {
+                        break;
+                    }
+                    load += touches;
+                    next += 1;
+                }
+                if w == me {
+                    mine = start..next;
+                }
+            }
+            let outboxes = &self.outboxes[parity];
+            self.route(mine, &mut lock(&outboxes[me]));
+            if !self.barrier.wait() {
+                return;
+            }
+            for producer in outboxes {
+                // Take the inbox out so that other owners can take theirs
+                // from the same producer meanwhile; return it emptied, to
+                // keep its capacity for the block after next.
+                let mut inbox = std::mem::take(&mut lock(producer)[me]);
+                for &touch in &inbox {
+                    self.execute(touch, first_shard, owned);
+                }
+                inbox.clear();
+                lock(producer)[me] = inbox;
+            }
+        }
+    }
+
+    /// Expands executions `execs` into row touches — the hash keys of the
+    /// stream's row-touch contract — and appends each to the outbox of
+    /// the worker owning its row.
+    fn route(&self, execs: Range<usize>, outboxes: &mut [Vec<Touch>]) {
+        let seed = self.stream.seed;
+        for exec_idx in execs {
+            let plan = &self.plans[self.stream.executions[exec_idx].index()];
+            let exec_key = mix(seed ^ (exec_idx as u64).wrapping_mul(0x9E37_79B9));
+            let tag = (exec_idx % 251) as u32;
+            for q in &plan.queries {
+                for rep in 0..q.reps {
+                    let rep_key = exec_key ^ q.key ^ mix(rep as u64);
+                    for tp in &q.tables {
+                        let tbl_key = rep_key ^ tp.key;
+                        let op = tp.op | tag;
+                        for j in 0..tp.n_phys {
+                            let row = self.skew.map(mix(tbl_key ^ j as u64));
+                            let owner = self.owner_of_shard[row / self.rows_per_shard];
+                            // Rows fit in 32 bits (checked at deployment).
+                            outboxes[owner].push(Touch {
+                                row: row as u32,
+                                op,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs one routed touch on the owned shard holding its row.
+    #[inline]
+    fn execute(&self, touch: Touch, first_shard: usize, owned: &mut [StoreShard]) {
+        let row = touch.row as usize;
+        let shard = &mut owned[row / self.rows_per_shard - first_shard];
+        match self.ops[(touch.op >> 8) as usize] {
+            TouchOp::Read { table_idx, home } => {
+                read_touch(shard, home, table_idx, row, self.metered)
+            }
+            TouchOp::Write {
+                table_idx,
+                transfer_per_row,
+            } => write_touch(
+                shard,
+                table_idx,
+                transfer_per_row,
+                row,
+                touch.op as u8,
+                self.metered,
+            ),
+        }
+    }
+}
+
+/// Locks a worker's outboxes. Recovering a poisoned guard is sound: a
+/// push leaves the touch lists valid at every step, and a pass whose
+/// worker panicked is abandoned at the next barrier, its panic re-raised
+/// by the scope.
+fn lock(outboxes: &Outboxes) -> MutexGuard<'_, Vec<Vec<Touch>>> {
+    outboxes.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A reusable barrier for one pass's workers. A worker that panics
+/// breaks it, so the others return instead of waiting for it forever.
+struct PassBarrier {
+    workers: usize,
+    state: Mutex<BarrierState>,
+    turned: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    round: usize,
+    broken: bool,
+}
+
+impl PassBarrier {
+    fn new(workers: usize) -> Self {
+        Self {
+            workers,
+            state: Mutex::default(),
+            turned: Condvar::new(),
+        }
+    }
+
+    /// Waits until every worker has arrived; false once the barrier is
+    /// broken.
+    fn wait(&self) -> bool {
+        let mut state = self.lock();
+        let round = state.round;
+        state.arrived += 1;
+        if state.arrived == self.workers {
+            state.arrived = 0;
+            state.round += 1;
+            self.turned.notify_all();
+        }
+        while state.round == round && !state.broken {
+            state = self
+                .turned
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        !state.broken
+    }
+
+    /// The barrier state stays valid at every step, so a poisoned lock
+    /// is recovered.
+    fn lock(&self) -> MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Breaks the pass's barrier when its worker unwinds.
+struct BreakOnPanic<'b>(&'b PassBarrier);
+
+impl Drop for BreakOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().broken = true;
+            self.0.turned.notify_all();
+        }
+    }
+}
+
+/// Writes one physical row of table `table_idx` on every replica site of
+/// the owning shard and meters physical bytes plus replication transfer.
 #[inline]
-fn write_touch(shard: &mut StoreShard, tp: &TablePlan, row: usize, tag: u8, metered: bool) {
+fn write_touch(
+    shard: &mut StoreShard,
+    table_idx: usize,
+    transfer_per_row: u64,
+    row: usize,
+    tag: u8,
+    metered: bool,
+) {
     let StoreShard { sites, meter } = shard;
     for (si, site) in sites.iter_mut().enumerate() {
-        if let Some(frag) = site.fragments[tp.table_idx].as_mut() {
+        if let Some(frag) = site.fragments[table_idx].as_mut() {
             let w = frag.write_row(row, tag);
             if metered {
                 meter.site_written[si] += w as u64;
@@ -951,20 +1235,20 @@ fn write_touch(shard: &mut StoreShard, tp: &TablePlan, row: usize, tag: u8, mete
     // α attributes of this row travel to every remote replica — priced
     // once per row, not per destination fragment.
     if metered {
-        meter.transfer += tp.transfer_per_row;
+        meter.transfer += transfer_per_row;
     }
 }
 
-/// Reads one physical row of `tp`'s table at the home site of the owning
-/// shard, assembling it into the site's preallocated buffer.
+/// Reads one physical row of table `table_idx` at site `home` of the
+/// owning shard into the site's preallocated buffer.
 #[inline]
-fn read_touch(shard: &mut StoreShard, plan: &TxnPlan, tp: &TablePlan, row: usize, metered: bool) {
+fn read_touch(shard: &mut StoreShard, home: usize, table_idx: usize, row: usize, metered: bool) {
     let StoreShard { sites, meter } = shard;
-    let ShardSite { fragments, buf } = &mut sites[plan.home];
-    if let Some(frag) = fragments[tp.table_idx].as_ref() {
+    let ShardSite { fragments, buf } = &mut sites[home];
+    if let Some(frag) = fragments[table_idx].as_ref() {
         let n = frag.read_row_into(row, buf);
         if metered {
-            meter.site_read[plan.home] += n as u64;
+            meter.site_read[home] += n as u64;
             meter.rows_read += 1;
             meter.checksum = meter
                 .checksum
@@ -1191,6 +1475,18 @@ mod tests {
         ));
     }
 
+    /// Routed touches carry 32-bit rows, so larger tables are refused
+    /// before anything is materialized.
+    #[test]
+    fn rows_beyond_32_bits_are_rejected() {
+        let ins = instance();
+        let part = Partitioning::single_site(&ins, 1).unwrap();
+        assert!(matches!(
+            ReplayDeployment::new(&ins, &part, u32::MAX as usize + 1, 4),
+            Err(EngineError::InvalidReplay { .. })
+        ));
+    }
+
     #[test]
     fn shard_count_clamps_to_rows() {
         let ins = instance();
@@ -1310,6 +1606,70 @@ mod tests {
         assert_eq!(faulted.passes_injected, 1);
         assert_eq!(faulted.passes, 1);
         assert_eq!(clean.meter_fingerprint(), faulted.meter_fingerprint());
+    }
+
+    /// Every worker owns a contiguous run of ⌊S/T⌋ or ⌈S/T⌉ shards, and
+    /// there are exactly `min(T, S)` of them.
+    #[test]
+    fn shard_split_is_even_and_contiguous() {
+        for n_shards in 1..=40usize {
+            for threads in 1..=40usize {
+                let split = shard_split(n_shards, threads);
+                assert_eq!(
+                    split.len(),
+                    threads.min(n_shards),
+                    "S={n_shards} T={threads}"
+                );
+                let mut next = 0;
+                for range in &split {
+                    assert_eq!(range.start, next, "S={n_shards} T={threads}: gap");
+                    assert!(!range.is_empty(), "S={n_shards} T={threads}: idle worker");
+                    next = range.end;
+                }
+                assert_eq!(next, n_shards, "S={n_shards} T={threads}: coverage");
+                let most = split.iter().map(Range::len).max().unwrap();
+                let least = split.iter().map(Range::len).min().unwrap();
+                assert!(most - least <= 1, "S={n_shards} T={threads}: uneven");
+            }
+        }
+    }
+
+    /// The report counts the workers that ran: at 32 shards, 12 and 20
+    /// requested threads run 12 and 20 workers (an even split leaves
+    /// none idle), 64 clamp to 32, and the meters agree.
+    #[test]
+    fn report_counts_the_workers_that_ran() {
+        let ins = instance();
+        let part = Partitioning::single_site(&ins, 1).unwrap();
+        let stream = ReplayStream::weighted(&ins, 300, 9);
+        let run = |threads| {
+            ReplayDeployment::new(&ins, &part, 256, 32)
+                .unwrap()
+                .replay(&stream, &ReplayConfig::deterministic(threads), None)
+                .unwrap()
+        };
+        let one = run(1);
+        for (threads, workers) in [(12, 12), (20, 20), (32, 32), (64, 32)] {
+            let report = run(threads);
+            assert_eq!(report.threads, workers, "--threads {threads}");
+            assert_eq!(report.meter_fingerprint(), one.meter_fingerprint());
+        }
+    }
+
+    /// A worker that panics breaks the barrier: the others stop waiting
+    /// and the panic surfaces instead of a hang.
+    #[test]
+    fn panicking_worker_breaks_the_barrier() {
+        let barrier = PassBarrier::new(2);
+        std::thread::scope(|scope| {
+            let failing = scope.spawn(|| {
+                let _guard = BreakOnPanic(&barrier);
+                panic!("worker failed");
+            });
+            assert!(!barrier.wait(), "the survivor stops waiting");
+            assert!(failing.join().is_err());
+        });
+        assert!(!barrier.wait(), "a broken barrier stays broken");
     }
 
     /// A fault that fires on every pass can never finish: the driver

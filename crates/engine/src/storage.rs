@@ -6,12 +6,12 @@
 //! fraction rows). Row payloads are materialized deterministically so the
 //! executor really moves bytes instead of just counting them.
 //!
-//! [`ColumnFragment`] is the replay harness's storage: the same vertical
-//! fraction, but laid out **columnarly** (one contiguous byte vector per
-//! attribute, physical — i.e. rounded-up — widths) and covering only a
-//! contiguous *row segment* of the table, so disjoint segments can be
-//! owned mutably by different replay workers. Reads assemble a fraction
-//! row into a caller-provided buffer; all meters are integer bytes.
+//! [`RowSegment`] is the replay harness's storage: the same row-major
+//! vertical fraction, but at physical (rounded-up) attribute widths and
+//! covering only a contiguous *row segment* of the table, so disjoint
+//! segments can be owned mutably by different replay workers. A read
+//! copies one fraction row into a caller-provided buffer, a write fills
+//! it; all meters are integer bytes.
 
 use vpart_model::{AttrId, SiteId, TableId};
 
@@ -87,16 +87,19 @@ impl Fragment {
     }
 }
 
-/// One columnar vertical table fraction covering a contiguous row segment.
+/// One vertical table fraction covering a contiguous row segment.
 ///
 /// Unlike [`Fragment`] (fractional average widths, whole-table rows), a
-/// `ColumnFragment` stores each attribute in its own contiguous column at
-/// its *physical* width (`ceil(w_a).max(1)` bytes) and holds only rows
-/// `base_row .. base_row + rows` of the table. The replay driver builds
-/// one per `(shard, site, table)` so each worker owns its shard's storage
-/// outright — no locks, no atomics, byte meters in exact `u64`.
+/// `RowSegment` stores each attribute at its *physical* width
+/// (`ceil(w_a).max(1)` bytes) and holds only rows
+/// `base_row .. base_row + rows` of the table. Like `Fragment` it is
+/// row-major: one `rows × row_width` byte vector, attributes in id order
+/// inside each row, so a row access is one contiguous copy. The replay
+/// driver builds one per `(shard, site, table)` so each worker owns its
+/// shard's storage outright — no locks, no atomics, byte meters in exact
+/// `u64`.
 #[derive(Debug, Clone)]
-pub struct ColumnFragment {
+pub struct RowSegment {
     /// The table this fraction belongs to.
     pub table: TableId,
     /// The attributes stored here, in global id order.
@@ -107,53 +110,51 @@ pub struct ColumnFragment {
     pub rows: usize,
     /// Physical per-attribute widths in bytes (`ceil(w_a).max(1)`).
     widths: Vec<usize>,
-    /// One contiguous column per attribute (`rows × widths[i]` bytes).
-    columns: Vec<Vec<u8>>,
+    /// Row-major payload (`rows × row_width` bytes).
+    data: Vec<u8>,
     row_width: usize,
 }
 
-impl ColumnFragment {
+impl RowSegment {
     /// Materializes the segment with a deterministic, row-global fill:
-    /// byte `j` of table row `r` in attribute `a`'s column depends only on
+    /// byte `j` of attribute `a` in table row `r` depends only on
     /// `(table, a, r, j)`, never on the segment boundaries — so checksums
     /// are invariant under re-sharding.
     pub fn new(table: TableId, attrs: Vec<(AttrId, f64)>, base_row: usize, rows: usize) -> Self {
-        let mut ids = Vec::with_capacity(attrs.len());
-        let mut widths = Vec::with_capacity(attrs.len());
-        let mut columns = Vec::with_capacity(attrs.len());
-        let mut row_width = 0usize;
-        for (a, w) in attrs {
-            let pw = (w.ceil() as usize).max(1);
-            let mut col = vec![0u8; rows * pw];
-            fill_column(&mut col, table, a, base_row, pw);
-            ids.push(a);
-            widths.push(pw);
-            columns.push(col);
-            row_width += pw;
-        }
-        Self {
+        let (ids, widths): (Vec<AttrId>, Vec<usize>) = attrs
+            .into_iter()
+            .map(|(a, w)| (a, (w.ceil() as usize).max(1)))
+            .unzip();
+        let row_width = widths.iter().sum();
+        let mut segment = Self {
             table,
             attrs: ids,
             base_row,
             rows,
             widths,
-            columns,
+            data: vec![0u8; rows * row_width],
             row_width,
-        }
+        };
+        segment.refill();
+        segment
     }
 
     /// Restores the deterministic initial fill — the replay harness's
     /// crash recovery: a pass discarded by an injected fault rolls its
     /// partial writes back to the durable (initial) payload.
     pub fn refill(&mut self) {
-        let (table, base_row) = (self.table, self.base_row);
-        for ((&a, &pw), col) in self
-            .attrs
-            .iter()
-            .zip(&self.widths)
-            .zip(self.columns.iter_mut())
-        {
-            fill_column(col, table, a, base_row, pw);
+        let rows = self.data.chunks_exact_mut(self.row_width.max(1));
+        for (r, row) in (self.base_row..).zip(rows) {
+            let mut at = 0usize;
+            for (&a, &pw) in self.attrs.iter().zip(&self.widths) {
+                for (j, b) in row[at..at + pw].iter_mut().enumerate() {
+                    *b = ((r * pw + j) as u32)
+                        .wrapping_mul(2654435761)
+                        .wrapping_add(self.table.0 ^ (a.0 << 8))
+                        .to_le_bytes()[0];
+                }
+                at += pw;
+            }
         }
     }
 
@@ -170,51 +171,31 @@ impl ColumnFragment {
         }
     }
 
-    /// Assembles table row `row` (a *global* row index inside this
-    /// segment) into `buf`, gathering each attribute's bytes from its
-    /// column. Returns the physical bytes read. `buf` must be at least
-    /// [`row_width`](Self::row_width) long — replay preallocates it once
-    /// per site and reuses it for every read.
+    /// Copies table row `row` (a *global* row index inside this segment)
+    /// into `buf`. Returns the physical bytes read. `buf` must be at
+    /// least [`row_width`](Self::row_width) long — replay preallocates it
+    /// once per site and reuses it for every read.
+    #[inline]
     pub fn read_row_into(&self, row: usize, buf: &mut [u8]) -> usize {
         debug_assert!(row >= self.base_row && row < self.base_row + self.rows);
-        let local = row - self.base_row;
-        let mut at = 0usize;
-        for (w, col) in self.widths.iter().zip(&self.columns) {
-            buf[at..at + w].copy_from_slice(&col[local * w..(local + 1) * w]);
-            at += w;
-        }
-        at
+        let at = (row - self.base_row) * self.row_width;
+        buf[..self.row_width].copy_from_slice(&self.data[at..at + self.row_width]);
+        self.row_width
     }
 
-    /// Overwrites table row `row` of every column with `tag`; returns the
-    /// physical bytes written.
+    /// Overwrites table row `row` with `tag`; returns the physical bytes
+    /// written.
+    #[inline]
     pub fn write_row(&mut self, row: usize, tag: u8) -> usize {
         debug_assert!(row >= self.base_row && row < self.base_row + self.rows);
-        let local = row - self.base_row;
-        for (w, col) in self.widths.iter().zip(self.columns.iter_mut()) {
-            for b in &mut col[local * w..(local + 1) * w] {
-                *b = tag;
-            }
-        }
+        let at = (row - self.base_row) * self.row_width;
+        self.data[at..at + self.row_width].fill(tag);
         self.row_width
     }
 
     /// Physical payload size of this segment in bytes.
     pub fn payload_bytes(&self) -> usize {
-        self.columns.iter().map(Vec::len).sum()
-    }
-}
-
-/// Deterministic, row-global columnar fill: byte `j` of table row `r`
-/// depends only on `(table, a, r, j)` — see [`ColumnFragment::new`].
-fn fill_column(col: &mut [u8], table: TableId, a: AttrId, base_row: usize, pw: usize) {
-    for (i, b) in col.iter_mut().enumerate() {
-        let r = base_row + i / pw;
-        let j = i % pw;
-        *b = ((r * pw + j) as u32)
-            .wrapping_mul(2654435761)
-            .wrapping_add(table.0 ^ (a.0 << 8))
-            .to_le_bytes()[0];
+        self.data.len()
     }
 }
 
@@ -284,8 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn column_fragment_round_trip() {
-        let mut f = ColumnFragment::new(TableId(0), vec![(AttrId(0), 4.0), (AttrId(2), 2.5)], 0, 8);
+    fn row_segment_round_trip() {
+        let mut f = RowSegment::new(TableId(0), vec![(AttrId(0), 4.0), (AttrId(2), 2.5)], 0, 8);
         // Physical widths round up: 4 + 3 = 7 bytes per row.
         assert_eq!(f.row_width(), 7);
         assert_eq!(f.payload_bytes(), 8 * 7);
@@ -299,21 +280,50 @@ mod tests {
         f.read_row_into(3, &mut buf);
         assert_eq!(buf, vec![0xCD; 7]);
         assert_ne!(before, buf);
+        // Neighbouring rows are untouched; refill restores the row.
+        f.read_row_into(4, &mut buf);
+        assert_ne!(buf, vec![0xCD; 7]);
+        f.refill();
+        f.read_row_into(3, &mut buf);
+        assert_eq!(buf, before);
     }
 
     /// The fill is row-global: the same table row carries the same bytes
     /// no matter which segment materializes it.
     #[test]
-    fn column_fragment_fill_is_segment_invariant() {
+    fn row_segment_fill_is_segment_invariant() {
         let attrs = vec![(AttrId(0), 4.0), (AttrId(1), 8.0)];
-        let whole = ColumnFragment::new(TableId(2), attrs.clone(), 0, 16);
-        let upper = ColumnFragment::new(TableId(2), attrs, 10, 6);
+        let whole = RowSegment::new(TableId(2), attrs.clone(), 0, 16);
+        let upper = RowSegment::new(TableId(2), attrs, 10, 6);
         let mut a = vec![0u8; whole.row_width()];
         let mut b = vec![0u8; upper.row_width()];
         for row in 10..16 {
             whole.read_row_into(row, &mut a);
             upper.read_row_into(row, &mut b);
             assert_eq!(a, b, "row {row} differs between segment layouts");
+        }
+    }
+
+    /// A row holds its attributes in id order, each filled by the
+    /// `(table, a, r, j)` rule.
+    #[test]
+    fn row_segment_rows_are_attribute_ordered() {
+        let (table, attrs) = (TableId(3), [(AttrId(4), 2.0), (AttrId(9), 1.5)]);
+        let f = RowSegment::new(table, attrs.to_vec(), 5, 3);
+        let mut buf = vec![0u8; f.row_width()];
+        for r in 5..8 {
+            f.read_row_into(r, &mut buf);
+            let mut expected = Vec::new();
+            for (a, w) in attrs {
+                let pw = w.ceil() as usize;
+                expected.extend((0..pw).map(|j| {
+                    ((r * pw + j) as u32)
+                        .wrapping_mul(2654435761)
+                        .wrapping_add(table.0 ^ (a.0 << 8))
+                        .to_le_bytes()[0]
+                }));
+            }
+            assert_eq!(buf, expected, "row {r}");
         }
     }
 

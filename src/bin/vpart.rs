@@ -111,8 +111,8 @@ fn usage() -> &'static str {
      temperature levels the dominated half is cut off.\n\
      `vpart replay` is the production-rate load harness: it deploys the\n\
      partitioning (from --partitioning — a solve-output or bare\n\
-     partitioning JSON — or a fresh seeded SA solve) as sharded columnar\n\
-     storage, replays a seeded stream of --txns weighted executions (or\n\
+     partitioning JSON — or a fresh seeded SA solve) as sharded row-store\n\
+     segments, replays a seeded stream of --txns weighted executions (or\n\
      --rounds uniform rounds) with --threads workers until --duration\n\
      elapses, and reports txns/sec plus the model error: true physical\n\
      bytes vs the cost model's prediction. Byte meters are bit-identical\n\

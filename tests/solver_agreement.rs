@@ -4,10 +4,13 @@
 //!
 //! * the QP solver (gap 0) must return the same objective-(4) cost,
 //! * the SA solver must never beat it and should usually match it,
-//! * evaluation identities must hold for every produced layout.
+//! * evaluation identities must hold for every produced layout,
+//! * the engine and the replay harness must meter exactly the bytes the
+//!   model predicts (integer widths, unit frequencies and rows).
 
 use proptest::prelude::*;
-use vpart::core::{evaluate, CostConfig};
+use vpart::core::{evaluate, predicted_txn_bytes, CostConfig};
+use vpart::engine::{PredictedBytes, ReplayConfig, ReplayDeployment, ReplayStream};
 use vpart::prelude::*;
 use vpart_instances::RandomParams;
 
@@ -107,7 +110,7 @@ proptest! {
         let predicted = evaluate(&instance, &sa.partitioning, &cost);
         let mut dep = Deployment::new(&instance, &sa.partitioning, 8).unwrap();
         let measured = dep
-            .execute(&vpart::engine::ReplayStream::uniform(&instance, 1, 0).executions)
+            .execute(&ReplayStream::uniform(&instance, 1, 0).executions)
             .unwrap();
         let t = measured.totals();
         prop_assert!((t.bytes_read - predicted.read).abs() <= 1e-6 * (1.0 + predicted.read));
@@ -118,5 +121,57 @@ proptest! {
             (measured.transfer_bytes - predicted.transfer).abs()
                 <= 1e-6 * (1.0 + predicted.transfer)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Replay meters physical bytes; with integer widths, unit
+    /// frequencies and unit rows they equal the model's prediction
+    /// exactly, and they do not depend on the thread count — also with
+    /// more workers than shards, fewer rows than shards, and workers
+    /// whose slice of the stream is empty.
+    #[test]
+    fn replay_agrees_with_the_model_on_random_instances(
+        ((params, seed), sites, rows, shards) in (small_params(), 2usize..4, 1usize..100, 1usize..40)
+    ) {
+        let instance = params.generate(seed);
+        let cost = CostConfig::default();
+        let sa = SaSolver::new(SaConfig::fast_deterministic(seed ^ 3))
+            .solve(&instance, sites, &cost)
+            .unwrap();
+        let stream = ReplayStream::uniform(&instance, 2, seed);
+        let per_txn = predicted_txn_bytes(&instance, &sa.partitioning, &cost);
+        let mut predicted = PredictedBytes::default();
+        for (t, &c) in stream.counts(instance.n_txns()).iter().enumerate() {
+            predicted.read += c as f64 * per_txn[t].read;
+            predicted.written += c as f64 * per_txn[t].written;
+            predicted.transferred += c as f64 * per_txn[t].transferred;
+        }
+        let mut reference = None;
+        for threads in [1usize, 2, 3, 5] {
+            let report = ReplayDeployment::new(&instance, &sa.partitioning, rows, shards)
+                .unwrap()
+                .replay(&stream, &ReplayConfig::deterministic(threads), Some(&predicted))
+                .unwrap();
+            let me = report.model_error.unwrap();
+            prop_assert_eq!(
+                [me.read_ratio, me.write_ratio, me.transfer_ratio, me.overall_ratio],
+                [0.0; 4],
+                "{} sites, {} rows, {} shards, {} threads: predicted {:?}, measured {:?}",
+                sites,
+                rows,
+                shards,
+                threads,
+                me.predicted,
+                me.measured
+            );
+            let fp = report.meter_fingerprint();
+            match &reference {
+                None => reference = Some(fp),
+                Some(r) => prop_assert_eq!(r, &fp, "meters differ at {} threads", threads),
+            }
+        }
     }
 }
