@@ -1,36 +1,49 @@
-//! An H-store-like row-store execution simulator.
+//! An H-store-like row-store execution engine.
 //!
 //! The paper *assumes* an H-store-like DBMS (single-threaded sites, rows
 //! stored contiguously, reads in quantums of whole rows, single-sited
 //! transactions running without undo/redo logs). No such system is
 //! available here, so this crate builds the substrate: a deterministic
-//! multi-site row-store that physically materializes table fractions
-//! according to a [`vpart_model::Partitioning`], executes streams of
-//! transaction executions ([`ReplayStream`]), and meters exactly the
-//! three quantities the cost model estimates — bytes read and written by
-//! storage access methods per site, and bytes transferred between sites
-//! by write replication.
+//! multi-site row store that physically materializes table fractions
+//! according to a [`vpart_model::Partitioning`] ([`RowSegment`]s, one
+//! crate-private store behind both entry points) and two things to do
+//! with it:
 //!
-//! Because the meter implements the *semantics* of the cost model (whole
+//! * [`ReplayDeployment::replay`] runs streams of transaction executions
+//!   ([`ReplayStream`]) and meters exactly the three quantities the cost
+//!   model estimates — bytes read and written by storage access methods
+//!   per site, and bytes transferred between sites by write replication;
+//! * [`Deployment`] moves the stored layout to another partitioning by
+//!   journaled, crash-safe batched migration, metering the bytes shipped.
+//!
+//! The meter implements the *semantics* of the cost model (whole
 //! row-fraction reads at the executing site, all-attribute write
-//! accounting at every replica, α-attribute transfer to remote replicas),
-//! an execution of a stream whose per-transaction counts equal the query
-//! frequencies must measure **exactly** the model's predicted `A_R`,
-//! `A_W` and `B`. Integration tests assert this equality on TPC-C — the
-//! cost model and the engine are implemented independently, so agreement
+//! accounting at every replica, α-attribute transfer to remote replicas)
+//! over physical bytes: each attribute takes `ceil(w_a)` bytes and each
+//! query touches `round(n)` rows. The cost model is the fractional
+//! reference (average widths, fractional row counts). Where widths,
+//! frequencies and row counts are integers, as on TPC-C, a stream whose
+//! per-transaction counts equal the query frequencies measures
+//! **exactly** the model's predicted `A_R`, `A_W` and `B`; elsewhere the
+//! replay report carries the quantization gap as model error. The cost
+//! model and the engine are implemented independently, so agreement
 //! validates both.
 //!
 //! ```
-//! use vpart_engine::{Deployment, ReplayStream};
-//! use vpart_model::Partitioning;
+//! use vpart_core::{evaluate, CostConfig};
+//! use vpart_engine::{ReplayConfig, ReplayDeployment, ReplayStream};
 //! use vpart_instances::tpcc;
+//! use vpart_model::Partitioning;
 //!
 //! let ins = tpcc();
 //! let part = Partitioning::single_site(&ins, 1).unwrap();
-//! let mut dep = Deployment::new(&ins, &part, 64).unwrap();
+//! let mut dep = ReplayDeployment::new(&ins, &part, 64, 4).unwrap();
 //! let stream = ReplayStream::uniform(&ins, 3, 0);
-//! let report = dep.execute(&stream.executions).unwrap();
-//! assert!(report.totals().bytes_read > 0.0);
+//! let report = dep
+//!     .replay(&stream, &ReplayConfig::deterministic(1), None)
+//!     .unwrap();
+//! let predicted = evaluate(&ins, &part, &CostConfig::default());
+//! assert_eq!(report.totals().bytes_read as f64, 3.0 * predicted.read);
 //! ```
 
 pub mod executor;
@@ -39,7 +52,7 @@ pub mod journal;
 pub mod replay;
 pub mod storage;
 
-pub use executor::{BatchedMigrationReport, Deployment, EngineError, ExecutionReport, SiteMetrics};
+pub use executor::{BatchedMigrationReport, Deployment, EngineError};
 pub use faults::{
     FaultInjector, FaultTrigger, FP_MIGRATION_BATCH, FP_MIGRATION_ROLLBACK, FP_REPLAY_PASS,
     FP_WATCH_RESOLVE,
@@ -49,4 +62,4 @@ pub use replay::{
     PredictedBytes, ReplayConfig, ReplayDeployment, ReplayModelError, ReplayReport, ReplayStream,
     RowSkew, SiteBytes,
 };
-pub use storage::{Fragment, RowSegment, Site};
+pub use storage::RowSegment;

@@ -1,15 +1,17 @@
-//! Production-rate trace replay with true-byte metering.
+//! Production-rate trace replay with true-byte metering: the engine's
+//! only metered pass.
 //!
-//! [`Deployment::execute`](crate::Deployment::execute) meters *fractional*
-//! bytes (average widths × fractional row counts) and therefore agrees
-//! with the cost model exactly — by construction. This module answers the
-//! harder question: how far is the model from what an executor moving
-//! **physical** bytes at full speed actually does?
+//! The cost model is the fractional reference: it prices average widths
+//! and fractional row counts. Replay answers what an executor moving
+//! **physical** bytes at full speed actually does, and reports the gap
+//! between the two as model error.
 //!
 //! A [`ReplayDeployment`] materializes the partitioning as row-major
-//! storage ([`RowSegment`]) split into a fixed number of contiguous
-//! *row-range shards*. A [`ReplayStream`] expands an instance into a
-//! seeded, deterministic stream of row-level touches.
+//! [`RowSegment`](crate::RowSegment)s split into a fixed number of
+//! contiguous *row-range shards* — the engine's one store, of which a
+//! [`Deployment`](crate::Deployment) is the one-shard case. A
+//! [`ReplayStream`] expands an instance into a seeded, deterministic
+//! stream of row-level touches.
 //! [`ReplayDeployment::replay`] runs the stream on `std::thread::scope`
 //! workers, each owning a contiguous run of shards outright:
 //!
@@ -36,13 +38,13 @@
 //! vs. physical rounded-up columns and integer rows).
 
 use crate::faults::{FaultInjector, FP_REPLAY_PASS};
-use crate::storage::RowSegment;
+use crate::storage::{ShardSite, Store, StoreShard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use vpart_model::{AttrId, Instance, Partitioning, TxnId};
+use vpart_model::{Instance, Partitioning, TxnId};
 use vpart_obs::{HealthMonitor, Obs};
 
 use crate::executor::EngineError;
@@ -61,7 +63,7 @@ const SLICE_TOUCHES: usize = 1 << 12;
 
 /// splitmix64 finalizer: the row-touch hash.
 #[inline]
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -492,7 +494,7 @@ impl ReplayReport {
 /// Per-shard meter: owned by exactly one worker during a pass, merged in
 /// shard order afterwards — the key to thread-count-independent totals.
 #[derive(Debug, Clone, Default)]
-struct ShardMeter {
+pub(crate) struct ShardMeter {
     site_read: Vec<u64>,
     site_written: Vec<u64>,
     transfer: u64,
@@ -502,7 +504,7 @@ struct ShardMeter {
 }
 
 impl ShardMeter {
-    fn new(n_sites: usize) -> Self {
+    pub(crate) fn new(n_sites: usize) -> Self {
         Self {
             site_read: vec![0; n_sites],
             site_written: vec![0; n_sites],
@@ -519,23 +521,6 @@ impl ShardMeter {
         self.rows_written = 0;
         self.checksum = 0;
     }
-}
-
-/// One site's storage inside one shard: row segments per table plus a
-/// preallocated row buffer reused by every read.
-#[derive(Debug, Clone)]
-struct ShardSite {
-    fragments: Vec<Option<RowSegment>>,
-    buf: Vec<u8>,
-}
-
-/// One contiguous row-range shard: all sites' fragment segments for those
-/// rows, plus the shard's meter. A worker owns whole shards — every
-/// byte a touch moves lives inside the shard that owns its row.
-#[derive(Debug, Clone)]
-struct StoreShard {
-    sites: Vec<ShardSite>,
-    meter: ShardMeter,
 }
 
 /// What the owner of a touched row does: one table of one query, resolved
@@ -595,11 +580,9 @@ struct Touch {
 pub struct ReplayDeployment<'a> {
     instance: &'a Instance,
     partitioning: Partitioning,
-    shards: Vec<StoreShard>,
+    store: Store,
     plans: Vec<TxnPlan>,
     ops: Vec<TouchOp>,
-    rows_per_table: usize,
-    rows_per_shard: usize,
     obs: Obs,
     health: Option<HealthMonitor>,
 }
@@ -615,53 +598,13 @@ impl<'a> ReplayDeployment<'a> {
         shards: usize,
     ) -> Result<Self, EngineError> {
         partitioning.validate(instance, false)?;
-        let rows_per_table = rows_per_table.max(1);
-        if u32::try_from(rows_per_table).is_err() {
+        if u32::try_from(rows_per_table.max(1)).is_err() {
             return Err(EngineError::InvalidReplay {
                 what: "rows per table must fit in 32 bits",
             });
         }
-        let n_shards = shards.clamp(1, rows_per_table);
-        let rows_per_shard = rows_per_table.div_ceil(n_shards);
         let schema = instance.schema();
-        let n_sites = partitioning.n_sites();
-        let n_tables = instance.n_tables();
-
-        let mut store = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let base = s * rows_per_shard;
-            let rows = rows_per_shard.min(rows_per_table.saturating_sub(base));
-            let mut sites = Vec::with_capacity(n_sites);
-            for si in 0..n_sites {
-                let site_id = vpart_model::SiteId::from_index(si);
-                let mut fragments = Vec::with_capacity(n_tables);
-                let mut buf_len = 0usize;
-                for t in 0..n_tables {
-                    let table = vpart_model::TableId::from_index(t);
-                    let attrs: Vec<(AttrId, f64)> = schema
-                        .table_attrs(table)
-                        .map(AttrId::from_index)
-                        .filter(|&a| partitioning.has_attr(a, site_id))
-                        .map(|a| (a, schema.width(a)))
-                        .collect();
-                    if attrs.is_empty() || rows == 0 {
-                        fragments.push(None);
-                    } else {
-                        let frag = RowSegment::new(table, attrs, base, rows);
-                        buf_len = buf_len.max(frag.row_width());
-                        fragments.push(Some(frag));
-                    }
-                }
-                sites.push(ShardSite {
-                    fragments,
-                    buf: vec![0u8; buf_len],
-                });
-            }
-            store.push(StoreShard {
-                sites,
-                meter: ShardMeter::new(n_sites),
-            });
-        }
+        let store = Store::new(schema, partitioning, rows_per_table, shards);
 
         // Precompile per-transaction touch plans: everything the hot loop
         // needs, resolved to indices and integer widths up front.
@@ -725,11 +668,9 @@ impl<'a> ReplayDeployment<'a> {
         Ok(Self {
             instance,
             partitioning: partitioning.clone(),
-            shards: store,
+            store,
             plans,
             ops,
-            rows_per_table,
-            rows_per_shard,
             obs: Obs::disabled(),
             health: None,
         })
@@ -770,22 +711,17 @@ impl<'a> ReplayDeployment<'a> {
 
     /// Rows materialized per table.
     pub fn rows_per_table(&self) -> usize {
-        self.rows_per_table
+        self.store.rows_per_table
     }
 
     /// Row-range shards.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.store.shards.len()
     }
 
     /// Total physically materialized bytes across shards and sites.
     pub fn stored_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|sh| &sh.sites)
-            .flat_map(|s| s.fragments.iter().flatten())
-            .map(RowSegment::payload_bytes)
-            .sum()
+        self.store.stored_bytes()
     }
 
     /// Replays `stream` and reports exact physical byte meters, optionally
@@ -814,7 +750,7 @@ impl<'a> ReplayDeployment<'a> {
             }
         }
         let n_sites = self.partitioning.n_sites();
-        let n_shards = self.shards.len();
+        let n_shards = self.store.shards.len();
         let workers = shard_split(n_shards, config.threads);
         let threads = workers.len();
         let max_passes = config.max_passes.max(1);
@@ -827,11 +763,11 @@ impl<'a> ReplayDeployment<'a> {
             ],
         );
 
-        for shard in &mut self.shards {
+        for shard in &mut self.store.shards {
             shard.meter.reset();
         }
 
-        let skew = SkewMap::new(config.skew, self.rows_per_table as u64);
+        let skew = SkewMap::new(config.skew, self.store.rows_per_table as u64);
         let mut faults = config.faults.clone();
         let start = Instant::now();
         let mut passes = 0usize;
@@ -853,13 +789,9 @@ impl<'a> ReplayDeployment<'a> {
                         point: FP_REPLAY_PASS.to_string(),
                     });
                 }
-                for shard in &mut self.shards {
-                    for site in &mut shard.sites {
-                        for frag in site.fragments.iter_mut().flatten() {
-                            frag.refill();
-                        }
-                    }
-                    if metered {
+                self.store.refill();
+                if metered {
+                    for shard in &mut self.store.shards {
                         shard.meter.reset();
                     }
                 }
@@ -890,7 +822,7 @@ impl<'a> ReplayDeployment<'a> {
         let mut rows_read = 0u64;
         let mut rows_written = 0u64;
         let mut checksum = 0u64;
-        for shard in &self.shards {
+        for shard in &self.store.shards {
             for (si, site) in per_site.iter_mut().enumerate() {
                 site.bytes_read += shard.meter.site_read[si];
                 site.bytes_written += shard.meter.site_written[si];
@@ -971,7 +903,7 @@ impl<'a> ReplayDeployment<'a> {
         metered: bool,
         skew: SkewMap,
     ) {
-        let mut owner_of_shard = Vec::with_capacity(self.shards.len());
+        let mut owner_of_shard = Vec::with_capacity(self.store.shards.len());
         for (w, range) in workers.iter().enumerate() {
             owner_of_shard.extend(range.clone().map(|_| w));
         }
@@ -980,7 +912,7 @@ impl<'a> ReplayDeployment<'a> {
             plans: &self.plans,
             ops: &self.ops,
             owner_of_shard,
-            rows_per_shard: self.rows_per_shard,
+            rows_per_shard: self.store.rows_per_shard,
             skew,
             metered,
             outboxes: std::array::from_fn(|_| {
@@ -990,7 +922,7 @@ impl<'a> ReplayDeployment<'a> {
             }),
             barrier: PassBarrier::new(workers.len()),
         };
-        let mut rest = self.shards.as_mut_slice();
+        let mut rest = self.store.shards.as_mut_slice();
         std::thread::scope(|scope| {
             for (w, range) in workers.iter().enumerate() {
                 let (owned, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
@@ -1262,7 +1194,7 @@ fn read_touch(shard: &mut StoreShard, home: usize, table_idx: usize, row: usize,
 mod tests {
     use super::*;
     use vpart_model::workload::QuerySpec;
-    use vpart_model::{Schema, SiteId, Workload};
+    use vpart_model::{AttrId, Schema, SiteId, Workload};
 
     /// R{a(4), b(8)}: T0 reads a (1 row); T1 writes b (2 rows).
     fn instance() -> Instance {

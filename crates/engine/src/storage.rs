@@ -1,103 +1,38 @@
-//! Physical storage: sites holding row-store table fractions.
+//! Physical storage: a partitioning materialized as row-major table
+//! fractions.
 //!
-//! A [`Fragment`] is one vertical fraction of one table on one site: the
-//! subset of the table's attributes placed there, stored row-contiguously
-//! (the H-store/row-store assumption — access happens in quantums of whole
-//! fraction rows). Row payloads are materialized deterministically so the
-//! executor really moves bytes instead of just counting them.
+//! A [`RowSegment`] is one vertical fraction of one table on one site —
+//! the subset of the table's attributes placed there — over a contiguous
+//! segment of the table's rows. It is row-major (the H-store/row-store
+//! assumption: access happens in quantums of whole fraction rows), and
+//! each attribute takes its *physical* width, `ceil(w_a).max(1)` bytes.
+//! Row payloads are materialized deterministically, so the engine really
+//! moves bytes instead of just counting them.
 //!
-//! [`RowSegment`] is the replay harness's storage: the same row-major
-//! vertical fraction, but at physical (rounded-up) attribute widths and
-//! covering only a contiguous *row segment* of the table, so disjoint
-//! segments can be owned mutably by different replay workers. A read
-//! copies one fraction row into a caller-provided buffer, a write fills
-//! it; all meters are integer bytes.
+//! Both entry points hold their segments in one crate-private `Store`:
+//! `shards` contiguous row-range shards, each holding the segment of every
+//! `(site, table)` pair the partitioning fills. A
+//! [`ReplayDeployment`](crate::ReplayDeployment) splits its rows into
+//! shards that replay workers own outright; a
+//! [`Deployment`](crate::Deployment) is the one-shard store its migrations
+//! rebuild.
 
-use vpart_model::{AttrId, SiteId, TableId};
+use crate::replay::{mix, ShardMeter};
+use vpart_model::{AttrId, Partitioning, Schema, SiteId, TableId};
 
-/// One vertical table fraction on one site.
-#[derive(Debug, Clone)]
-pub struct Fragment {
-    /// The table this fraction belongs to.
-    pub table: TableId,
-    /// The attributes stored here, in global id order.
-    pub attrs: Vec<AttrId>,
-    /// Exact fraction row width in bytes (`Σ w_a`, may be fractional —
-    /// widths are *average* widths).
-    pub width: f64,
-    /// Number of materialized rows.
-    pub rows: usize,
-    /// Row-contiguous payload (`rows × ceil(width)` bytes).
-    data: Vec<u8>,
-    byte_width: usize,
-}
-
-impl Fragment {
-    /// Materializes a fragment with `rows` rows of deterministic payload.
-    pub fn new(table: TableId, attrs: Vec<AttrId>, width: f64, rows: usize) -> Self {
-        let byte_width = (width.ceil() as usize).max(1);
-        let mut data = vec![0u8; rows * byte_width];
-        // Deterministic, cheap, non-constant fill: row/table dependent.
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i as u32)
-                .wrapping_mul(2654435761)
-                .wrapping_add(table.0)
-                .to_le_bytes()[0];
-        }
-        Self {
-            table,
-            attrs,
-            width,
-            rows,
-            data,
-            byte_width,
-        }
-    }
-
-    /// Reads row `i % rows`, returning its payload slice.
-    pub fn read_row(&self, i: usize) -> &[u8] {
-        let r = i % self.rows.max(1);
-        &self.data[r * self.byte_width..(r + 1) * self.byte_width]
-    }
-
-    /// Overwrites row `i % rows` with a tag byte; returns bytes written
-    /// (the exact fractional width, for the meter).
-    pub fn write_row(&mut self, i: usize, tag: u8) -> f64 {
-        let r = i % self.rows.max(1);
-        for b in &mut self.data[r * self.byte_width..(r + 1) * self.byte_width] {
-            *b = tag;
-        }
-        self.width
-    }
-
-    /// True if this fraction stores attribute `a`.
-    pub fn holds(&self, a: AttrId) -> bool {
-        self.attrs.binary_search(&a).is_ok()
-    }
-
-    /// Physical payload size in bytes.
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The raw physical payload (row-major, `byte_width` bytes per row).
-    /// Recovery tests hash this to prove bit-identical fragment state.
-    pub fn payload(&self) -> &[u8] {
-        &self.data
-    }
+/// The physical width of an attribute of average width `w`.
+fn physical(w: f64) -> usize {
+    (w.ceil() as usize).max(1)
 }
 
 /// One vertical table fraction covering a contiguous row segment.
 ///
-/// Unlike [`Fragment`] (fractional average widths, whole-table rows), a
-/// `RowSegment` stores each attribute at its *physical* width
+/// The segment stores each attribute at its physical width
 /// (`ceil(w_a).max(1)` bytes) and holds only rows
-/// `base_row .. base_row + rows` of the table. Like `Fragment` it is
-/// row-major: one `rows × row_width` byte vector, attributes in id order
-/// inside each row, so a row access is one contiguous copy. The replay
-/// driver builds one per `(shard, site, table)` so each worker owns its
-/// shard's storage outright — no locks, no atomics, byte meters in exact
-/// `u64`.
+/// `base_row .. base_row + rows` of the table: one `rows × row_width`
+/// byte vector, attributes in id order inside each row, so a row access
+/// is one contiguous copy. Replay workers own whole shards of segments —
+/// no locks, no atomics, byte meters in exact `u64`.
 #[derive(Debug, Clone)]
 pub struct RowSegment {
     /// The table this fraction belongs to.
@@ -121,10 +56,18 @@ impl RowSegment {
     /// `(table, a, r, j)`, never on the segment boundaries — so checksums
     /// are invariant under re-sharding.
     pub fn new(table: TableId, attrs: Vec<(AttrId, f64)>, base_row: usize, rows: usize) -> Self {
-        let (ids, widths): (Vec<AttrId>, Vec<usize>) = attrs
-            .into_iter()
-            .map(|(a, w)| (a, (w.ceil() as usize).max(1)))
-            .unzip();
+        let (ids, widths) = attrs.into_iter().map(|(a, w)| (a, physical(w))).unzip();
+        Self::with_widths(table, ids, widths, base_row, rows)
+    }
+
+    /// [`new`](Self::new) with the physical widths already computed.
+    fn with_widths(
+        table: TableId,
+        ids: Vec<AttrId>,
+        widths: Vec<usize>,
+        base_row: usize,
+        rows: usize,
+    ) -> Self {
         let row_width = widths.iter().sum();
         let mut segment = Self {
             table,
@@ -142,19 +85,38 @@ impl RowSegment {
     /// Restores the deterministic initial fill — the replay harness's
     /// crash recovery: a pass discarded by an injected fault rolls its
     /// partial writes back to the durable (initial) payload.
+    ///
+    /// Byte `j` of an attribute of physical width `pw` in table row `r`
+    /// is the low byte of `(r·pw + j)·2654435761 + (table ^ a << 8)`,
+    /// which is `(r·pw + j)·0xB1 + table` in `u8` arithmetic. Down a
+    /// column that is an arithmetic sequence, so once two rows are
+    /// computed, every byte is `2·above − two above` for any stride of
+    /// whole rows. The stride grows with the filled prefix, so the fill
+    /// runs as a few long loops rather than one short loop per row.
     pub fn refill(&mut self) {
-        let rows = self.data.chunks_exact_mut(self.row_width.max(1));
-        for (r, row) in (self.base_row..).zip(rows) {
+        let width = self.row_width;
+        let rows = self.data.chunks_exact_mut(width.max(1));
+        for (r, row) in (self.base_row..).zip(rows).take(2) {
             let mut at = 0usize;
-            for (&a, &pw) in self.attrs.iter().zip(&self.widths) {
+            for &pw in &self.widths {
                 for (j, b) in row[at..at + pw].iter_mut().enumerate() {
-                    *b = ((r * pw + j) as u32)
-                        .wrapping_mul(2654435761)
-                        .wrapping_add(self.table.0 ^ (a.0 << 8))
-                        .to_le_bytes()[0];
+                    let x = (r * pw + j) as u8;
+                    *b = x.wrapping_mul(0xB1).wrapping_add(self.table.0 as u8);
                 }
                 at += pw;
             }
+        }
+        let len = self.data.len();
+        let mut filled = (2 * width).min(len);
+        while filled < len {
+            let stride = filled / 2 / width * width;
+            let n = stride.min(len - filled);
+            let (done, next) = self.data.split_at_mut(filled);
+            let (two_above, above) = done[filled - 2 * stride..].split_at(stride);
+            for ((b, &a1), &a2) in next[..n].iter_mut().zip(above).zip(two_above) {
+                *b = a1.wrapping_mul(2).wrapping_sub(a2);
+            }
+            filled += n;
         }
     }
 
@@ -199,42 +161,171 @@ impl RowSegment {
     }
 }
 
-/// One site: a set of table fractions plus access counters.
-#[derive(Debug, Clone)]
-pub struct Site {
-    /// The site's id.
-    pub id: SiteId,
-    /// Fractions hosted here, grouped per table (`fragments[t]` is `None`
-    /// when no attribute of table `t` lives on this site).
-    pub fragments: Vec<Option<Fragment>>,
+/// The fraction of `table` that `partitioning` places on `site`, over
+/// rows `base .. base + rows` — the one constructor of every stored
+/// segment. `None` when the site holds no attribute of the table or the
+/// range is empty.
+fn segment(
+    schema: &Schema,
+    partitioning: &Partitioning,
+    site: SiteId,
+    table: TableId,
+    base: usize,
+    rows: usize,
+) -> Option<RowSegment> {
+    let held = schema
+        .table_attrs(table)
+        .map(AttrId::from_index)
+        .filter(|&a| partitioning.has_attr(a, site));
+    let n = held.clone().count();
+    if n == 0 || rows == 0 {
+        return None;
+    }
+    let (mut ids, mut widths) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for a in held {
+        ids.push(a);
+        widths.push(physical(schema.width(a)));
+    }
+    Some(RowSegment::with_widths(table, ids, widths, base, rows))
 }
 
-impl Site {
-    /// Creates an empty site for `n_tables` tables.
-    pub fn new(id: SiteId, n_tables: usize) -> Self {
-        Self {
-            id,
-            fragments: vec![None; n_tables],
+/// One site's storage inside one shard: a segment per table (`None` where
+/// the site holds none of the table's attributes) plus a row buffer,
+/// reused by every read, at least as wide as the widest segment.
+#[derive(Debug, Clone)]
+pub(crate) struct ShardSite {
+    pub(crate) fragments: Vec<Option<RowSegment>>,
+    pub(crate) buf: Vec<u8>,
+}
+
+/// One contiguous row-range shard: all sites' segments for those rows,
+/// plus the shard's replay meter. A replay worker owns whole shards —
+/// every byte a touch moves lives inside the shard that owns its row.
+#[derive(Debug, Clone)]
+pub(crate) struct StoreShard {
+    pub(crate) sites: Vec<ShardSite>,
+    pub(crate) meter: ShardMeter,
+}
+
+/// A partitioning materialized as row-major storage: `rows_per_table`
+/// rows of every table, vertically fractioned per site and split into
+/// contiguous row-range shards.
+#[derive(Debug, Clone)]
+pub(crate) struct Store {
+    pub(crate) shards: Vec<StoreShard>,
+    pub(crate) rows_per_table: usize,
+    pub(crate) rows_per_shard: usize,
+}
+
+impl Store {
+    /// Builds the segment of every `(shard, site, table)`. Both counts
+    /// are raised to at least 1, and there are never more shards than
+    /// rows.
+    pub(crate) fn new(
+        schema: &Schema,
+        partitioning: &Partitioning,
+        rows_per_table: usize,
+        shards: usize,
+    ) -> Self {
+        let rows_per_table = rows_per_table.max(1);
+        let n_shards = shards.clamp(1, rows_per_table);
+        let n_sites = partitioning.n_sites();
+        let mut store = Self {
+            shards: Vec::with_capacity(n_shards),
+            rows_per_table,
+            rows_per_shard: rows_per_table.div_ceil(n_shards),
+        };
+        for s in 0..n_shards {
+            let (base, rows) = store.shard_rows(s);
+            let sites = (0..n_sites)
+                .map(|si| {
+                    let fragments: Vec<_> = (0..schema.n_tables())
+                        .map(|t| {
+                            let (site, table) = (SiteId::from_index(si), TableId::from_index(t));
+                            segment(schema, partitioning, site, table, base, rows)
+                        })
+                        .collect();
+                    let width = fragments.iter().flatten().map(RowSegment::row_width);
+                    let buf = vec![0; width.max().unwrap_or(0)];
+                    ShardSite { fragments, buf }
+                })
+                .collect();
+            store.shards.push(StoreShard {
+                sites,
+                meter: ShardMeter::new(n_sites),
+            });
+        }
+        store
+    }
+
+    /// First row and row count of shard `s`.
+    fn shard_rows(&self, s: usize) -> (usize, usize) {
+        let base = s * self.rows_per_shard;
+        let rows = self
+            .rows_per_shard
+            .min(self.rows_per_table.saturating_sub(base));
+        (base, rows)
+    }
+
+    /// Re-derives the `(site, table)` segment of every shard from
+    /// `partitioning`. The fill is deterministic, so the result is the
+    /// storage a fresh build of `partitioning` holds.
+    pub(crate) fn rebuild(
+        &mut self,
+        schema: &Schema,
+        partitioning: &Partitioning,
+        site: SiteId,
+        table: TableId,
+    ) {
+        for s in 0..self.shards.len() {
+            let (base, rows) = self.shard_rows(s);
+            let fraction = segment(schema, partitioning, site, table, base, rows);
+            let width = fraction.as_ref().map_or(0, RowSegment::row_width);
+            let shard_site = &mut self.shards[s].sites[site.index()];
+            // The buffer only has to be wide enough; it never shrinks.
+            shard_site.buf.resize(shard_site.buf.len().max(width), 0);
+            shard_site.fragments[table.index()] = fraction;
         }
     }
 
-    /// The fraction of table `t` on this site, if any.
-    pub fn fragment(&self, t: TableId) -> Option<&Fragment> {
-        self.fragments[t.index()].as_ref()
+    /// Every segment, in `(shard, site, table)` order, with its site.
+    fn segments(&self) -> impl Iterator<Item = (usize, &RowSegment)> {
+        self.shards.iter().flat_map(|shard| {
+            (shard.sites.iter().enumerate())
+                .flat_map(|(si, site)| site.fragments.iter().flatten().map(move |seg| (si, seg)))
+        })
     }
 
-    /// Mutable access to the fraction of table `t`.
-    pub fn fragment_mut(&mut self, t: TableId) -> Option<&mut Fragment> {
-        self.fragments[t.index()].as_mut()
+    /// Total physically materialized bytes across shards and sites.
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.segments().map(|(_, seg)| seg.payload_bytes()).sum()
     }
 
-    /// Total materialized bytes on this site.
-    pub fn stored_bytes(&self) -> usize {
-        self.fragments
-            .iter()
-            .flatten()
-            .map(Fragment::payload_bytes)
-            .sum()
+    /// Restores every segment's initial fill.
+    pub(crate) fn refill(&mut self) {
+        for shard in &mut self.shards {
+            for site in &mut shard.sites {
+                site.fragments
+                    .iter_mut()
+                    .flatten()
+                    .for_each(RowSegment::refill);
+            }
+        }
+    }
+
+    /// Folds every segment's site, table, attributes, row range and raw
+    /// payload into the running hash `h`.
+    pub(crate) fn fingerprint(&self, h: &mut u64) {
+        let mut put = |v: u64| *h = mix(*h ^ v);
+        for (site, seg) in self.segments() {
+            put(site as u64);
+            put(seg.table.index() as u64);
+            put(seg.attrs.len() as u64);
+            seg.attrs.iter().for_each(|a| put(a.index() as u64));
+            put(seg.base_row as u64);
+            put(seg.rows as u64);
+            seg.data.iter().for_each(|&b| put(b as u64));
+        }
     }
 }
 
@@ -242,26 +333,12 @@ impl Site {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fragment_round_trip() {
-        let mut f = Fragment::new(TableId(0), vec![AttrId(0), AttrId(2)], 12.0, 8);
-        assert_eq!(f.payload_bytes(), 8 * 12);
-        assert!(f.holds(AttrId(2)));
-        assert!(!f.holds(AttrId(1)));
-        let before = f.read_row(3).to_vec();
-        let w = f.write_row(3, 0xAB);
-        assert_eq!(w, 12.0);
-        assert_eq!(f.read_row(3), vec![0xAB; 12].as_slice());
-        assert_ne!(before, f.read_row(3));
-        // Row indices wrap.
-        assert_eq!(f.read_row(11), f.read_row(3));
-    }
-
-    #[test]
-    fn fractional_widths_round_up_physically() {
-        let f = Fragment::new(TableId(1), vec![AttrId(5)], 2.5, 4);
-        assert_eq!(f.payload_bytes(), 4 * 3);
-        assert_eq!(f.width, 2.5);
+    /// The fill rule the segments implement, byte by byte.
+    fn fill_byte(table: TableId, a: AttrId, r: usize, pw: usize, j: usize) -> u8 {
+        ((r * pw + j) as u32)
+            .wrapping_mul(2654435761)
+            .wrapping_add(table.0 ^ (a.0 << 8))
+            .to_le_bytes()[0]
     }
 
     #[test]
@@ -288,6 +365,16 @@ mod tests {
         assert_eq!(buf, before);
     }
 
+    #[test]
+    fn fractional_widths_round_up_physically() {
+        let f = RowSegment::new(TableId(1), vec![(AttrId(5), 2.5)], 0, 4);
+        assert_eq!(f.payload_bytes(), 4 * 3);
+        assert_eq!(f.row_width(), 3);
+        // A zero width still takes one byte.
+        let narrow = RowSegment::new(TableId(1), vec![(AttrId(5), 0.0)], 0, 4);
+        assert_eq!(narrow.row_width(), 1);
+    }
+
     /// The fill is row-global: the same table row carries the same bytes
     /// no matter which segment materializes it.
     #[test]
@@ -305,35 +392,86 @@ mod tests {
     }
 
     /// A row holds its attributes in id order, each filled by the
-    /// `(table, a, r, j)` rule.
+    /// `(table, a, r, j)` rule — also for attributes wider than 256
+    /// bytes and rows past 256, where the `u8` arithmetic wraps.
     #[test]
     fn row_segment_rows_are_attribute_ordered() {
-        let (table, attrs) = (TableId(3), [(AttrId(4), 2.0), (AttrId(9), 1.5)]);
-        let f = RowSegment::new(table, attrs.to_vec(), 5, 3);
-        let mut buf = vec![0u8; f.row_width()];
-        for r in 5..8 {
-            f.read_row_into(r, &mut buf);
-            let mut expected = Vec::new();
-            for (a, w) in attrs {
-                let pw = w.ceil() as usize;
-                expected.extend((0..pw).map(|j| {
-                    ((r * pw + j) as u32)
-                        .wrapping_mul(2654435761)
-                        .wrapping_add(table.0 ^ (a.0 << 8))
-                        .to_le_bytes()[0]
-                }));
+        let cases = [
+            (TableId(3), vec![(AttrId(4), 2.0), (AttrId(9), 1.5)], 5, 3),
+            (
+                TableId(300),
+                vec![(AttrId(1), 7.0), (AttrId(2), 300.0), (AttrId(70), 0.5)],
+                250,
+                20,
+            ),
+        ];
+        for (table, attrs, base, rows) in cases {
+            let f = RowSegment::new(table, attrs.clone(), base, rows);
+            let mut buf = vec![0u8; f.row_width()];
+            for r in base..base + rows {
+                f.read_row_into(r, &mut buf);
+                let mut expected = Vec::new();
+                for &(a, w) in &attrs {
+                    let pw = (w.ceil() as usize).max(1);
+                    expected.extend((0..pw).map(|j| fill_byte(table, a, r, pw, j)));
+                }
+                assert_eq!(buf, expected, "table {table:?} row {r}");
             }
-            assert_eq!(buf, expected, "row {r}");
         }
     }
 
+    /// R{a(4), b(8)} and S{c(2)} over 2 sites: one transaction, on site
+    /// 0, and attribute `a` on the sites `sites[a]`.
+    fn layout(sites: [&[usize]; 3]) -> (Schema, Partitioning) {
+        let mut sb = Schema::builder();
+        sb.table("R", &[("a", 4.0), ("b", 8.0)]).unwrap();
+        sb.table("S", &[("c", 2.0)]).unwrap();
+        let mut y = vpart_model::BitMatrix::new(3, 2);
+        for (a, &sites) in sites.iter().enumerate() {
+            sites.iter().for_each(|&s| y.set(a, s));
+        }
+        let part = Partitioning::from_parts(2, vec![SiteId(0)], y).unwrap();
+        (sb.build().unwrap(), part)
+    }
+
+    /// A site holds a segment of a table exactly when the partitioning
+    /// places one of the table's attributes there, in every shard.
     #[test]
     fn site_holds_fragments_per_table() {
-        let mut s = Site::new(SiteId(0), 3);
-        assert!(s.fragment(TableId(1)).is_none());
-        s.fragments[1] = Some(Fragment::new(TableId(1), vec![AttrId(0)], 4.0, 2));
-        assert!(s.fragment(TableId(1)).is_some());
-        assert_eq!(s.stored_bytes(), 8);
-        s.fragment_mut(TableId(1)).unwrap().write_row(0, 1);
+        let (schema, part) = layout([&[0], &[0, 1], &[0]]);
+        let store = Store::new(&schema, &part, 10, 3);
+        assert_eq!((store.shards.len(), store.rows_per_shard), (3, 4));
+        for (s, shard) in store.shards.iter().enumerate() {
+            assert_eq!(shard.sites.len(), 2);
+            let (site0, site1) = (&shard.sites[0], &shard.sites[1]);
+            let rows = if s == 2 { 2 } else { 4 };
+            let r0 = site0.fragments[0].as_ref().unwrap();
+            assert_eq!((r0.attrs.len(), r0.base_row, r0.rows), (2, 4 * s, rows));
+            assert!(site0.fragments[1].is_some());
+            assert_eq!(site1.fragments[0].as_ref().unwrap().attrs, [AttrId(1)]);
+            assert!(site1.fragments[1].is_none());
+            assert_eq!((site0.buf.len(), site1.buf.len()), (12, 8));
+        }
+        assert_eq!(store.stored_bytes(), 10 * (12 + 2 + 8));
+    }
+
+    /// Rebuilding a `(site, table)` after a layout change leaves the
+    /// storage — and its fingerprint — of a fresh build of the new layout.
+    #[test]
+    fn rebuild_equals_a_fresh_store() {
+        let (schema, from) = layout([&[0], &[0], &[0]]);
+        let (_, to) = layout([&[0], &[0], &[0, 1]]);
+        let hash = |s: &Store| {
+            let mut h = 0;
+            s.fingerprint(&mut h);
+            h
+        };
+        let mut store = Store::new(&schema, &from, 9, 2);
+        let before = hash(&store);
+        store.rebuild(&schema, &to, SiteId(1), TableId(1));
+        let fresh = Store::new(&schema, &to, 9, 2);
+        assert_eq!(hash(&store), hash(&fresh));
+        assert_ne!(hash(&store), before);
+        assert_eq!(store.stored_bytes(), fresh.stored_bytes());
     }
 }

@@ -1,47 +1,49 @@
-//! The central validation experiment: the execution engine's *measured*
-//! bytes must equal the cost model's *predicted* bytes.
+//! The central validation experiment: the bytes replay *measures* must
+//! equal the bytes the cost model *predicts*.
 //!
-//! The engine (`vpart-engine`) and the cost model (`vpart-core`) are
-//! independent implementations of the same semantics, so exact agreement
-//! on TPC-C and on random instances validates both sides.
+//! Replay (`vpart-engine`) and the cost model (`vpart-core`) are
+//! independent implementations of the same semantics. On TPC-C and the
+//! random catalog instances below, widths, frequencies and row counts are
+//! integers, so physical and fractional bytes coincide and agreement must
+//! be exact — with `==`, not a tolerance.
 
 use vpart_core::sa::{SaConfig, SaSolver};
 use vpart_core::{evaluate, CostConfig};
-use vpart_engine::{Deployment, ReplayStream};
+use vpart_engine::{ReplayConfig, ReplayDeployment, ReplayReport, ReplayStream};
 use vpart_instances::{by_name, tpcc};
-use vpart_model::Partitioning;
+use vpart_model::{Instance, Partitioning};
 
-fn assert_close(a: f64, b: f64, what: &str) {
-    assert!(
-        (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs())),
-        "{what}: engine {a} vs model {b}"
-    );
+/// Replays `stream` on `part` (32 rows per table, 4 shards, 2 threads).
+fn replay(ins: &Instance, part: &Partitioning, stream: &ReplayStream) -> ReplayReport {
+    ReplayDeployment::new(ins, part, 32, 4)
+        .unwrap()
+        .replay(stream, &ReplayConfig::deterministic(2), None)
+        .unwrap()
 }
 
-fn check_agreement(ins: &vpart_model::Instance, part: &Partitioning, rounds: usize) {
+/// `A_R + A_W + p·B` from measured bytes.
+fn measured_objective4(report: &ReplayReport, p: f64) -> f64 {
+    let t = report.totals();
+    t.bytes_read as f64 + t.bytes_written as f64 + p * report.transfer_bytes as f64
+}
+
+fn check_agreement(ins: &Instance, part: &Partitioning, rounds: usize) {
     let cfg = CostConfig::default();
     let predicted = evaluate(ins, part, &cfg);
-    let mut dep = Deployment::new(ins, part, 32).unwrap();
-    let report = dep
-        .execute(&ReplayStream::uniform(ins, rounds, 0).executions)
-        .unwrap();
+    let report = replay(ins, part, &ReplayStream::uniform(ins, rounds, 0));
     let k = rounds as f64;
     let totals = report.totals();
-    assert_close(totals.bytes_read, k * predicted.read, "A_R");
-    assert_close(totals.bytes_written, k * predicted.write, "A_W");
-    assert_close(report.transfer_bytes, k * predicted.transfer, "B");
-    assert_close(
-        report.measured_objective4(cfg.p),
+    assert_eq!(totals.bytes_read as f64, k * predicted.read, "A_R");
+    assert_eq!(totals.bytes_written as f64, k * predicted.write, "A_W");
+    assert_eq!(report.transfer_bytes as f64, k * predicted.transfer, "B");
+    assert_eq!(
+        measured_objective4(&report, cfg.p),
         k * predicted.objective4,
-        "objective (4)",
+        "objective (4)"
     );
-    for (s, (&measured, &pred)) in report
-        .site_work()
-        .iter()
-        .zip(&predicted.site_work)
-        .enumerate()
-    {
-        assert_close(measured, k * pred, &format!("work(site {s})"));
+    assert_eq!(report.per_site.len(), predicted.site_work.len());
+    for (s, (measured, &pred)) in report.per_site.iter().zip(&predicted.site_work).enumerate() {
+        assert_eq!(measured.work() as f64, k * pred, "work(site {s})");
     }
 }
 
@@ -77,22 +79,17 @@ fn partitioning_reduces_measured_bytes_not_just_predicted() {
     // The 37%-style headline must hold in *measured* bytes too.
     let ins = tpcc();
     let cfg = CostConfig::default();
+    let stream = ReplayStream::uniform(&ins, 2, 0);
     let single = Partitioning::single_site(&ins, 1).unwrap();
-    let mut dep = Deployment::new(&ins, &single, 32).unwrap();
-    let base = dep
-        .execute(&ReplayStream::uniform(&ins, 2, 0).executions)
-        .unwrap();
+    let base = replay(&ins, &single, &stream);
 
     let r = SaSolver::new(SaConfig::fast_deterministic(5))
         .solve(&ins, 2, &cfg)
         .unwrap();
-    let mut dep = Deployment::new(&ins, &r.partitioning, 32).unwrap();
-    let split = dep
-        .execute(&ReplayStream::uniform(&ins, 2, 0).executions)
-        .unwrap();
+    let split = replay(&ins, &r.partitioning, &stream);
 
-    let base_cost = base.measured_objective4(cfg.p);
-    let split_cost = split.measured_objective4(cfg.p);
+    let base_cost = measured_objective4(&base, cfg.p);
+    let split_cost = measured_objective4(&split, cfg.p);
     assert!(
         split_cost < base_cost * 0.8,
         "measured cost should drop ≥20%: {base_cost} -> {split_cost}"
@@ -106,13 +103,15 @@ fn single_sitedness_of_reads_is_preserved_in_execution() {
     let r = SaSolver::new(SaConfig::fast_deterministic(5))
         .solve(&ins, 4, &CostConfig::default())
         .unwrap();
-    let mut dep = Deployment::new(&ins, &r.partitioning, 16).unwrap();
-    let report = dep
-        .execute(&[
+    let stream = ReplayStream {
+        executions: vec![
             ins.workload().txn_by_name("OrderStatus").unwrap(),
             ins.workload().txn_by_name("StockLevel").unwrap(),
-        ])
-        .unwrap();
-    assert_eq!(report.transfer_bytes, 0.0);
-    assert_eq!(report.single_sited_executions, 2);
+        ],
+        seed: 0,
+    };
+    let report = replay(&ins, &r.partitioning, &stream);
+    assert_eq!(report.transfer_bytes, 0);
+    assert_eq!(report.rows_written, 0);
+    assert!(report.rows_read > 0);
 }

@@ -858,8 +858,8 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
     }
 
     // An execution is single-sited when none of its write queries touches
-    // an attribute with a replica off its home site: the rule
-    // `Deployment::execute` counts by.
+    // an attribute with a replica off its home site. This is the only
+    // place the rule lives; the engine meters bytes, not executions.
     let single_sited = |t: usize| {
         let txn = TxnId::from_index(t);
         let home = part.site_of(txn);

@@ -14,11 +14,11 @@
 //! * [`instances`] — TPC-C v5 and the paper's random instance classes,
 //! * [`ingest`] — SQL DDL + workload ingestion into instances (query
 //!   logs, `pg_stat_statements` / `performance_schema` dumps),
-//! * [`engine`] — an H-store-like row-store simulator validating the
-//!   model, plus the production-rate trace-replay load harness
-//!   (`vpart replay`: true-byte meters vs the cost model's prediction),
-//!   crash-safe batched migrations through a write-ahead journal, and
-//!   deterministic seeded fault injection (`--fault`),
+//! * [`engine`] — an H-store-like row store built once per partitioning:
+//!   production-rate trace replay, its only metered pass (`vpart replay`:
+//!   true-byte meters vs the cost model's prediction), crash-safe batched
+//!   migrations through a write-ahead journal, and deterministic seeded
+//!   fault injection (`--fault`),
 //! * [`online`] — adaptive repartitioning: streaming workload tracking,
 //!   drift-triggered warm re-solves and minimum-movement migration plans,
 //!   with hysteresis, movement-cost amortization, retry backoff and

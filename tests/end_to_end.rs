@@ -24,16 +24,20 @@ fn full_pipeline_on_tpcc() {
     .unwrap();
     assert!(qp.breakdown.objective6 <= sa.breakdown.objective6 + 1e-9);
 
-    // Deploy the QP layout and execute: measured == predicted.
-    let mut dep = Deployment::new(&instance, &qp.partitioning, 32).unwrap();
-    let measured = dep
-        .execute(&ReplayStream::uniform(&instance, 2, 0).executions)
+    // Deploy the QP layout and replay two rounds: measured == predicted.
+    let measured = ReplayDeployment::new(&instance, &qp.partitioning, 32, 4)
+        .unwrap()
+        .replay(
+            &ReplayStream::uniform(&instance, 2, 0),
+            &ReplayConfig::deterministic(2),
+            None,
+        )
         .unwrap();
     let predicted = evaluate(&instance, &qp.partitioning, &cost);
-    assert!(
-        (measured.measured_objective4(cost.p) - 2.0 * predicted.objective4).abs()
-            < 1e-6 * predicted.objective4,
-    );
+    let t = measured.totals();
+    let objective4 =
+        t.bytes_read as f64 + t.bytes_written as f64 + cost.p * measured.transfer_bytes as f64;
+    assert_eq!(objective4, 2.0 * predicted.objective4);
 }
 
 #[test]

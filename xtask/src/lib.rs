@@ -209,6 +209,45 @@ pub fn lint(ws: &Workspace, only: Option<&str>) -> Vec<Diagnostic> {
     out
 }
 
+/// Line counts of one crate (`crates/<name>`) or top-level directory.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LocRow {
+    /// The crate or top-level directory (`.` for files at the root).
+    pub group: String,
+    /// Lines of `.rs` files outside any `tests/` directory.
+    pub src: usize,
+    /// Lines of `.rs` files under a `tests/` directory.
+    pub tests: usize,
+}
+
+/// Counts the lines of every `.rs` file the workspace walk scanned, one
+/// row per crate or top-level directory, in path order.
+pub fn loc(ws: &Workspace) -> Vec<LocRow> {
+    let mut rows: Vec<LocRow> = Vec::new();
+    for f in &ws.files {
+        let group = match (&f.crate_dir, f.rel.split_once('/')) {
+            (Some(dir), _) => dir.clone(),
+            (None, Some((top, _))) => top.to_string(),
+            (None, None) => ".".to_string(),
+        };
+        // Files come sorted by path, so each group's files are adjacent.
+        if rows.last().is_none_or(|r| r.group != group) {
+            rows.push(LocRow {
+                group,
+                ..LocRow::default()
+            });
+        }
+        let row = rows.last_mut().expect("a row was just pushed");
+        let lines = f.scanned.lines.len();
+        if f.rel.split('/').any(|part| part == "tests") {
+            row.tests += lines;
+        } else {
+            row.src += lines;
+        }
+    }
+    rows
+}
+
 /// Locate the workspace root: the nearest ancestor of `start` whose
 /// `Cargo.toml` declares `[workspace]`.
 pub fn find_root(start: &Path) -> Option<PathBuf> {

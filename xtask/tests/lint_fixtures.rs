@@ -156,3 +156,19 @@ fn real_workspace_is_lint_clean() {
             .join("\n")
     );
 }
+
+#[test]
+fn loc_counts_each_crate_split_into_src_and_tests() {
+    let ws = xtask::load_workspace(&fixture_root()).expect("fixture workspace loads");
+    let rows: Vec<_> = xtask::loc(&ws)
+        .into_iter()
+        .map(|r| (r.group, r.src, r.tests))
+        .collect();
+    assert_eq!(
+        rows,
+        vec![
+            ("crates/core".to_string(), 187, 0),
+            ("crates/engine".to_string(), 9, 6),
+        ]
+    );
+}
