@@ -20,12 +20,17 @@
 //! Every mutation appends to an undo log; [`IncrementalCost::revert`]
 //! rolls the state (including the owned [`Partitioning`]) back to a
 //! [`IncrementalCost::mark`], which is how the annealing loop rejects
-//! candidates. Floating-point drift from long add/subtract chains is
-//! bounded by [`IncrementalCost::resync`], a full recompute the solver
-//! runs at temperature-level checkpoints.
+//! candidates. Each mutation kind has one delta, which the `apply_*`
+//! operations run forwards and `revert` backwards. Floating-point drift
+//! from long add/subtract chains is bounded by
+//! [`IncrementalCost::resync`], a full recompute the solver runs at
+//! temperature-level checkpoints. The recompute keeps its own walk rather
+//! than calling the coefficient scorer: it also fills the per-`(attribute,
+//! site)` aggregates, which the scorer has no use for.
 //!
-//! Parity: [`IncrementalCost::objective6`] matches [`fast_objective6`]
-//! for the `AllAttributes`/`NoAttributes` write-accounting strategies
+//! Parity: [`IncrementalCost::objective6`] equals [`fast_objective6`] up
+//! to rounding (the two sum the same terms in different orders) for the
+//! `AllAttributes`/`NoAttributes` write-accounting strategies
 //! (property-tested under random move/revert sequences). The Appendix A
 //! latency term is recomputed exactly (not incrementally) when enabled —
 //! correct but `O(|Q|)` per evaluation, so latency-enabled solves lose
@@ -180,9 +185,9 @@ impl<'a> IncrementalCost<'a> {
     }
 
     /// Objective (6): `λ·(quad + lin) + (1−λ)·m` plus the Appendix A
-    /// latency term when enabled. Matches
+    /// latency term when enabled. Equals
     /// [`crate::cost::objective::fast_objective6`] on the same
-    /// partitioning.
+    /// partitioning up to rounding.
     pub fn objective6(&self) -> f64 {
         let base =
             self.config.lambda * self.objective4() + (1.0 - self.config.lambda) * self.max_work();
@@ -209,7 +214,16 @@ impl<'a> IncrementalCost<'a> {
         for a in missing {
             self.apply_attr_replica(a, site);
         }
-        let (old, new) = (from.index(), site.index());
+        self.shift_txn(t, site);
+        self.undo.push(Op::TxnMoved { t, from });
+        self.note_mutation();
+    }
+
+    /// The delta of a transaction move: shifts `t`'s terms and
+    /// single-sitedness counts from its current site to `to`, and moves it.
+    fn shift_txn(&mut self, t: TxnId, to: SiteId) {
+        let from = self.part.site_of(t);
+        let (old, new) = (from.index(), to.index());
         for &(a, c1, c3) in self.coeffs.txn_terms(t) {
             let (ro, rn) = (
                 a.index() * self.n_sites + old,
@@ -223,7 +237,7 @@ impl<'a> IncrementalCost<'a> {
                 self.quad -= c1;
                 self.site_read[old] -= c3;
             }
-            if self.part.has_attr(a, site) {
+            if self.part.has_attr(a, to) {
                 self.quad += c1;
                 self.site_read[new] += c3;
             }
@@ -232,9 +246,7 @@ impl<'a> IncrementalCost<'a> {
             self.forced[a.index() * self.n_sites + old] -= 1;
             self.forced[a.index() * self.n_sites + new] += 1;
         }
-        self.part.move_txn(t, site);
-        self.undo.push(Op::TxnMoved { t, from });
-        self.note_mutation();
+        self.part.move_txn(t, to);
     }
 
     /// Adds a replica of `a` on `site`. Returns `false` (and does nothing)
@@ -243,12 +255,7 @@ impl<'a> IncrementalCost<'a> {
         if self.part.has_attr(a, site) {
             return false;
         }
-        let cell = a.index() * self.n_sites + site.index();
-        self.quad += self.agg1[cell];
-        self.site_read[site.index()] += self.agg3[cell];
-        self.lin += self.coeffs.c2(a);
-        self.site_write[site.index()] += self.coeffs.c4(a);
-        self.part.add_replica(a, site);
+        self.set_replica(a, site, true);
         self.undo.push(Op::ReplicaAdded { a, s: site });
         self.note_mutation();
         true
@@ -269,15 +276,27 @@ impl<'a> IncrementalCost<'a> {
         if !self.can_drop_replica(a, site) {
             return false;
         }
-        let cell = a.index() * self.n_sites + site.index();
-        self.quad -= self.agg1[cell];
-        self.site_read[site.index()] -= self.agg3[cell];
-        self.lin -= self.coeffs.c2(a);
-        self.site_write[site.index()] -= self.coeffs.c4(a);
-        self.part.remove_replica(a, site);
+        self.set_replica(a, site, false);
         self.undo.push(Op::ReplicaDropped { a, s: site });
         self.note_mutation();
         true
+    }
+
+    /// The delta of a replica change: adds (`present`) or removes the
+    /// replica of `a` on `site` and its marginals, unchecked. Removal adds
+    /// the negated marginals, which rounds exactly like subtracting them.
+    fn set_replica(&mut self, a: AttrId, site: SiteId, present: bool) {
+        let sign = if present { 1.0 } else { -1.0 };
+        let cell = a.index() * self.n_sites + site.index();
+        self.quad += sign * self.agg1[cell];
+        self.site_read[site.index()] += sign * self.agg3[cell];
+        self.lin += sign * self.coeffs.c2(a);
+        self.site_write[site.index()] += sign * self.coeffs.c4(a);
+        if present {
+            self.part.add_replica(a, site);
+        } else {
+            self.part.remove_replica(a, site);
+        }
     }
 
     /// Current undo-log position. Mutations made after a mark can be
@@ -294,9 +313,9 @@ impl<'a> IncrementalCost<'a> {
         while self.undo.len() > mark {
             let op = self.undo.pop().expect("undo log not empty");
             match op {
-                Op::TxnMoved { t, from } => self.unapply_txn_move(t, from),
-                Op::ReplicaAdded { a, s } => self.unapply_replica_add(a, s),
-                Op::ReplicaDropped { a, s } => self.unapply_replica_drop(a, s),
+                Op::TxnMoved { t, from } => self.shift_txn(t, from),
+                Op::ReplicaAdded { a, s } => self.set_replica(a, s, false),
+                Op::ReplicaDropped { a, s } => self.set_replica(a, s, true),
             }
         }
     }
@@ -304,56 +323,6 @@ impl<'a> IncrementalCost<'a> {
     /// Discards undo history (accepts all mutations made so far).
     pub fn commit(&mut self) {
         self.undo.clear();
-    }
-
-    /// Inverse of [`IncrementalCost::apply_txn_move`] without logging.
-    fn unapply_txn_move(&mut self, t: TxnId, from: SiteId) {
-        let here = self.part.site_of(t);
-        let (old, new) = (here.index(), from.index());
-        for &(a, c1, c3) in self.coeffs.txn_terms(t) {
-            let (ro, rn) = (
-                a.index() * self.n_sites + old,
-                a.index() * self.n_sites + new,
-            );
-            self.agg1[ro] -= c1;
-            self.agg3[ro] -= c3;
-            self.agg1[rn] += c1;
-            self.agg3[rn] += c3;
-            if self.part.has_attr(a, here) {
-                self.quad -= c1;
-                self.site_read[old] -= c3;
-            }
-            if self.part.has_attr(a, from) {
-                self.quad += c1;
-                self.site_read[new] += c3;
-            }
-        }
-        for &a in self.instance.read_set(t) {
-            self.forced[a.index() * self.n_sites + old] -= 1;
-            self.forced[a.index() * self.n_sites + new] += 1;
-        }
-        self.part.move_txn(t, from);
-    }
-
-    /// Inverse of [`IncrementalCost::apply_attr_replica`] without logging
-    /// or feasibility checks (the log order guarantees feasibility).
-    fn unapply_replica_add(&mut self, a: AttrId, site: SiteId) {
-        let cell = a.index() * self.n_sites + site.index();
-        self.quad -= self.agg1[cell];
-        self.site_read[site.index()] -= self.agg3[cell];
-        self.lin -= self.coeffs.c2(a);
-        self.site_write[site.index()] -= self.coeffs.c4(a);
-        self.part.remove_replica(a, site);
-    }
-
-    /// Inverse of [`IncrementalCost::apply_attr_drop`] without logging.
-    fn unapply_replica_drop(&mut self, a: AttrId, site: SiteId) {
-        let cell = a.index() * self.n_sites + site.index();
-        self.quad += self.agg1[cell];
-        self.site_read[site.index()] += self.agg3[cell];
-        self.lin += self.coeffs.c2(a);
-        self.site_write[site.index()] += self.coeffs.c4(a);
-        self.part.add_replica(a, site);
     }
 
     /// `debug-invariants` self-check: every [`PARITY_PERIOD`] mutations,

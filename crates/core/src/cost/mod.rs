@@ -2,17 +2,15 @@
 //!
 //! * [`coeffs`] — the static coefficients `c1(a,t)`, `c2(a)`, `c3(a,t)`,
 //!   `c4(a)` induced by schema, workload and statistics,
-//! * [`objective`] — evaluation of the reported objective (4), the
-//!   optimized objective (6) and the full cost breakdown for a given
-//!   partitioning,
+//! * [`objective`] — one query-level walk that prices a partitioning both
+//!   as the full breakdown of objective (4) and (6) and per transaction
+//!   (the replay harness's model-vs-measured prediction), and one
+//!   coefficient walk that scores objective (6) for the solvers,
 //! * [`incremental`] — delta evaluation of objective (6) under point
 //!   mutations (the SA inner loop's fast path),
-//! * [`latency`] — the ψ-indicator latency term of Appendix A,
-//! * [`predict`] — the per-transaction byte decomposition consumed by the
-//!   replay harness for model-vs-measured validation.
+//! * [`latency`] — the ψ-indicator latency term of Appendix A.
 
 pub mod coeffs;
 pub mod incremental;
 pub mod latency;
 pub mod objective;
-pub mod predict;

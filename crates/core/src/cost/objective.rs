@@ -1,13 +1,16 @@
-//! Objective evaluation for a concrete partitioning.
+//! Objective evaluation for a concrete partitioning: one walk per
+//! quantity.
 //!
-//! Two evaluation paths are provided:
-//!
-//! * [`evaluate`] — the authoritative query-level evaluation. Walks every
-//!   query, supports all three write-accounting strategies and the latency
-//!   term, and returns a full [`CostBreakdown`].
-//! * [`fast_objective6`] — a coefficient-based fast path used inside the
-//!   simulated-annealing inner loop (identical to `evaluate` for the
-//!   `AllAttributes`/`NoAttributes` strategies; property-tested against it).
+//! * [`evaluate`] — the authoritative query-level evaluation. One walk
+//!   over the queries in id order visits every byte amount objective (4)
+//!   charges: whole-fraction reads at the home site, writes under all
+//!   three write-accounting strategies, and α-transfers to non-home
+//!   replicas. `evaluate` sums them per site into a [`CostBreakdown`];
+//!   [`predicted_txn_bytes`] is the same walk viewed per transaction.
+//! * [`fast_objective6`] — the coefficient scorer. One walk over the
+//!   `c1`–`c4` coefficients yields objective (4) and the maximum site
+//!   work; it equals `evaluate` for the `AllAttributes`/`NoAttributes`
+//!   strategies, the ones expressible as static coefficients.
 //!
 //! The paper's convention: solvers *minimize* objective (6) but always
 //! *report* objective (4) — `A + p·B` — as "the actual cost of a solution".
@@ -15,7 +18,7 @@
 use crate::config::{CostConfig, WriteAccounting};
 use crate::cost::coeffs::CostCoefficients;
 use crate::cost::latency::latency_term;
-use vpart_model::{AttrId, Instance, Partitioning, TxnId};
+use vpart_model::{AttrId, Instance, Partitioning, QueryId, SiteId, TxnId};
 
 /// Full cost decomposition of a partitioning.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,6 +42,94 @@ pub struct CostBreakdown {
     pub latency: f64,
 }
 
+/// Predicted bytes for a single execution of one transaction.
+///
+/// One execution of transaction `t` means what one engine execution
+/// means: every query of `t` runs at its workload frequency, so the
+/// model's totals are exactly one execution of every transaction, and a
+/// replay stream with counts `n_t` is priced as `Σ_t n_t · TxnBytes[t]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TxnBytes {
+    /// Bytes read by storage access methods (whole fraction rows at the
+    /// home site, for every read query of the transaction).
+    pub read: f64,
+    /// Bytes written by storage access methods across all replica sites,
+    /// per the configured write-accounting strategy.
+    pub written: f64,
+    /// Bytes shipped to remote replicas (α-attribute replication traffic).
+    pub transferred: f64,
+}
+
+impl TxnBytes {
+    /// Total predicted bytes touched (read + written + transferred).
+    pub fn total(&self) -> f64 {
+        self.read + self.written + self.transferred
+    }
+}
+
+/// What a byte amount of the query walk pays for: a read or a write at a
+/// site, or a transfer to a remote replica.
+#[derive(Clone, Copy)]
+enum Charge {
+    Read(SiteId),
+    Write(SiteId),
+    Transfer,
+}
+
+/// The one query-level walk of the cost model: calls `charge` with every
+/// byte amount objective (4) prices, the transaction that pays it, and
+/// what it pays for — queries, tables and attributes in id order, replica
+/// sites in site order.
+fn walk_charges(
+    instance: &Instance,
+    part: &Partitioning,
+    config: &CostConfig,
+    mut charge: impl FnMut(TxnId, Charge, f64),
+) {
+    let schema = instance.schema();
+    let mut write_sites = vec![false; part.n_sites()];
+    for (qi, q) in instance.workload().queries().iter().enumerate() {
+        let t = instance.gamma(QueryId::from_index(qi));
+        let home = part.site_of(t);
+        let writes = q.kind.is_write();
+        for &(table, rows) in &q.table_rows {
+            // The replica sites a write pays at: all (AllAttributes), none
+            // (NoAttributes), or those holding a written attribute of this
+            // table (RelevantAttributes).
+            write_sites.fill(writes && config.write_accounting == WriteAccounting::AllAttributes);
+            if writes && config.write_accounting == WriteAccounting::RelevantAttributes {
+                for &a in q.attrs.iter().filter(|&&a| schema.table_of(a) == table) {
+                    part.attr_sites(a)
+                        .for_each(|s| write_sites[s.index()] = true);
+                }
+            }
+            for ai in schema.table_attrs(table) {
+                let a = AttrId::from_index(ai);
+                let w = schema.width(a) * q.frequency * rows;
+                if !writes {
+                    // Read: single-sited — pay for every locally present
+                    // attribute of the touched table on the home site.
+                    if part.has_attr(a, home) {
+                        charge(t, Charge::Read(home), w);
+                    }
+                    continue;
+                }
+                // Updated attributes also travel to every replica site
+                // other than the executing one.
+                let shipped = q.accesses_attr(a);
+                for s in part.attr_sites(a) {
+                    if write_sites[s.index()] {
+                        charge(t, Charge::Write(s), w);
+                    }
+                    if shipped && s != home {
+                        charge(t, Charge::Transfer, w);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Evaluates the full cost breakdown of `p` on `instance`.
 pub fn evaluate(instance: &Instance, part: &Partitioning, config: &CostConfig) -> CostBreakdown {
     let n_sites = part.n_sites();
@@ -47,71 +138,17 @@ pub fn evaluate(instance: &Instance, part: &Partitioning, config: &CostConfig) -
     let mut transfer = 0.0;
     let mut site_read = vec![0.0; n_sites];
     let mut site_write = vec![0.0; n_sites];
-
-    for (qi, q) in instance.workload().queries().iter().enumerate() {
-        let qid = vpart_model::QueryId::from_index(qi);
-        let t = instance.gamma(qid);
-        let home = part.site_of(t);
-        if q.kind.is_write() {
-            for &(table, rows) in &q.table_rows {
-                // Which sites hold a *written* attribute of this table?
-                // (Only needed for the RelevantAttributes strategy.)
-                let mut relevant_sites = vec![false; n_sites];
-                if config.write_accounting == WriteAccounting::RelevantAttributes {
-                    for &a in &q.attrs {
-                        if instance.schema().table_of(a) == table {
-                            for s in part.attr_sites(a) {
-                                relevant_sites[s.index()] = true;
-                            }
-                        }
-                    }
-                }
-                for ai in instance.schema().table_attrs(table) {
-                    let a = AttrId::from_index(ai);
-                    let w = instance.schema().width(a) * q.frequency * rows;
-                    match config.write_accounting {
-                        WriteAccounting::AllAttributes => {
-                            for s in part.attr_sites(a) {
-                                write += w;
-                                site_write[s.index()] += w;
-                            }
-                        }
-                        WriteAccounting::NoAttributes => {}
-                        WriteAccounting::RelevantAttributes => {
-                            for s in part.attr_sites(a) {
-                                if relevant_sites[s.index()] {
-                                    write += w;
-                                    site_write[s.index()] += w;
-                                }
-                            }
-                        }
-                    }
-                    // Transfer: updated attributes travel to every replica
-                    // site other than the executing one.
-                    if q.accesses_attr(a) {
-                        for s in part.attr_sites(a) {
-                            if s != home {
-                                transfer += w;
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            // Read: single-sited — pay for every locally present attribute
-            // of the touched tables on the home site.
-            for &(table, rows) in &q.table_rows {
-                for ai in instance.schema().table_attrs(table) {
-                    let a = AttrId::from_index(ai);
-                    if part.has_attr(a, home) {
-                        let w = instance.schema().width(a) * q.frequency * rows;
-                        read += w;
-                        site_read[home.index()] += w;
-                    }
-                }
-            }
+    walk_charges(instance, part, config, |_, charge, w| match charge {
+        Charge::Read(s) => {
+            read += w;
+            site_read[s.index()] += w;
         }
-    }
+        Charge::Write(s) => {
+            write += w;
+            site_write[s.index()] += w;
+        }
+        Charge::Transfer => transfer += w,
+    });
 
     let site_work: Vec<f64> = site_read
         .iter()
@@ -135,26 +172,29 @@ pub fn evaluate(instance: &Instance, part: &Partitioning, config: &CostConfig) -
     }
 }
 
-/// Objective (4) — the paper's reported cost — of a partitioning.
-pub fn objective4(instance: &Instance, part: &Partitioning, config: &CostConfig) -> f64 {
-    evaluate(instance, part, config).objective4
-}
-
-/// Objective (6) — the optimized blend — of a partitioning.
-pub fn objective6(instance: &Instance, part: &Partitioning, config: &CostConfig) -> f64 {
-    evaluate(instance, part, config).objective6
-}
-
-/// Coefficient-based evaluation of objective (6), used by the SA inner
-/// loop. Matches [`evaluate`] exactly for the `AllAttributes` and
-/// `NoAttributes` strategies (the ones expressible as static coefficients).
-/// Includes the latency term when enabled.
-pub fn fast_objective6(
+/// [`evaluate`]'s walk viewed per transaction: entry `t` prices one
+/// execution of `TxnId(t)`, and the component sums over all transactions
+/// are the `read`/`write`/`transfer` fields of `evaluate`.
+pub fn predicted_txn_bytes(
     instance: &Instance,
-    coeffs: &CostCoefficients,
     part: &Partitioning,
     config: &CostConfig,
-) -> f64 {
+) -> Vec<TxnBytes> {
+    let mut out = vec![TxnBytes::default(); instance.n_txns()];
+    walk_charges(instance, part, config, |t, charge, w| {
+        let bytes = &mut out[t.index()];
+        match charge {
+            Charge::Read(_) => bytes.read += w,
+            Charge::Write(_) => bytes.written += w,
+            Charge::Transfer => bytes.transferred += w,
+        }
+    });
+    out
+}
+
+/// The one coefficient walk: objective (4) (`Σ c1·x·y + Σ c2·y`) and the
+/// maximum site work `m` (from `c3` and `c4`) of `part`.
+pub(crate) fn coefficient_score(coeffs: &CostCoefficients, part: &Partitioning) -> (f64, f64) {
     let n_sites = part.n_sites();
     let mut quad = 0.0; // Σ c1(a,t)·y[a][x_t]
     let mut site_read = vec![0.0; n_sites];
@@ -184,27 +224,21 @@ pub fn fast_objective6(
         .zip(&site_write)
         .map(|(r, w)| r + w)
         .fold(0.0f64, f64::max);
-    let obj4 = quad + lin;
-    config.lambda * obj4 + (1.0 - config.lambda) * m + latency_term(instance, part, config)
+    (quad + lin, m)
 }
 
-/// Coefficient-based objective (4) (`Σ c1·x·y + Σ c2·y`).
-pub fn fast_objective4(coeffs: &CostCoefficients, part: &Partitioning) -> f64 {
-    let mut total = 0.0;
-    for t in 0..part.n_txns() {
-        let txn = TxnId::from_index(t);
-        let s = part.site_of(txn);
-        for &(a, c1, _) in coeffs.txn_terms(txn) {
-            if part.has_attr(a, s) {
-                total += c1;
-            }
-        }
-    }
-    for a in 0..part.n_attrs() {
-        let attr = AttrId::from_index(a);
-        total += coeffs.c2(attr) * part.replication(attr) as f64;
-    }
-    total
+/// Coefficient-based evaluation of objective (6), used by the solvers.
+/// Matches [`evaluate`] exactly for the `AllAttributes` and
+/// `NoAttributes` strategies (the ones expressible as static
+/// coefficients). Includes the latency term when enabled.
+pub fn fast_objective6(
+    instance: &Instance,
+    coeffs: &CostCoefficients,
+    part: &Partitioning,
+    config: &CostConfig,
+) -> f64 {
+    let (obj4, m) = coefficient_score(coeffs, part);
+    config.lambda * obj4 + (1.0 - config.lambda) * m + latency_term(instance, part, config)
 }
 
 #[cfg(test)]
@@ -278,6 +312,35 @@ mod tests {
         assert_eq!(b.max_work, 60.0);
     }
 
+    /// T0 on site 0 reads; T1 runs on site 1 and writes v, which lives
+    /// only on site 0, while k is replicated on both sites: every write
+    /// accounting prices T1 differently, and v is shipped.
+    #[test]
+    fn per_txn_bytes_by_hand() {
+        let ins = instance();
+        let mut p = Partitioning::single_site(&ins, 2).unwrap();
+        p.add_replica(AttrId(0), SiteId(1));
+        p.move_txn(TxnId(1), SiteId(1));
+        // T0: whole fraction (k 4 + v 8) × f2 × 1 row = 24.
+        // T1 (3 rows): W_k = 12, W_v = 24; v travels to site 0 → 24.
+        for (wa, written) in [
+            (WriteAccounting::AllAttributes, 12.0 + 12.0 + 24.0),
+            (WriteAccounting::RelevantAttributes, 12.0 + 24.0),
+            (WriteAccounting::NoAttributes, 0.0),
+        ] {
+            let cfg = CostConfig::default().with_write_accounting(wa);
+            let per = predicted_txn_bytes(&ins, &p, &cfg);
+            let got: Vec<_> = per
+                .iter()
+                .map(|b| (b.read, b.written, b.transferred))
+                .collect();
+            assert_eq!(got, [(24.0, 0.0, 0.0), (0.0, written, 24.0)], "{wa:?}");
+            assert_eq!(per[1].total(), written + 24.0);
+            let b = evaluate(&ins, &p, &cfg);
+            assert_eq!((b.read, b.write, b.transfer), (24.0, written, 24.0));
+        }
+    }
+
     #[test]
     fn fast_paths_agree_with_evaluate() {
         let ins = instance();
@@ -298,12 +361,12 @@ mod tests {
                     (fast_objective6(&ins, &coeffs, &p, &cfg) - b.objective6).abs() < 1e-9,
                     "fast6 mismatch ({wa:?})"
                 );
-                assert!((fast_objective4(&coeffs, &p) - b.objective4).abs() < 1e-9);
+                assert!((coefficient_score(&coeffs, &p).0 - b.objective4).abs() < 1e-9);
                 // And again with extra replication.
                 p.add_replica(AttrId(0), SiteId(1));
                 let b = evaluate(&ins, &p, &cfg);
                 assert!((fast_objective6(&ins, &coeffs, &p, &cfg) - b.objective6).abs() < 1e-9);
-                assert!((fast_objective4(&coeffs, &p) - b.objective4).abs() < 1e-9);
+                assert!((coefficient_score(&coeffs, &p).0 - b.objective4).abs() < 1e-9);
             }
         }
     }

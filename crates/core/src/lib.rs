@@ -52,7 +52,8 @@ pub mod sa;
 pub use config::{CostConfig, WriteAccounting};
 pub use cost::coeffs::CostCoefficients;
 pub use cost::incremental::IncrementalCost;
-pub use cost::objective::{evaluate, fast_objective6, objective4, objective6, CostBreakdown};
-pub use cost::predict::{predicted_txn_bytes, TxnBytes};
+pub use cost::objective::{
+    evaluate, fast_objective6, predicted_txn_bytes, CostBreakdown, TxnBytes,
+};
 pub use error::CoreError;
 pub use report::{RestartStat, SolveReport};

@@ -71,7 +71,7 @@
 use crate::config::CostConfig;
 use crate::cost::coeffs::CostCoefficients;
 use crate::cost::incremental::IncrementalCost;
-use crate::cost::objective::{evaluate, fast_objective6};
+use crate::cost::objective::{coefficient_score, evaluate, fast_objective6};
 use crate::error::CoreError;
 use crate::report::{RestartStat, SolveReport, Termination};
 use crate::sa::subproblem::{
@@ -577,7 +577,7 @@ impl<'a> ChainState<'a> {
                 restart: self.restart,
                 seed: self.seed,
                 objective6: self.best_cost,
-                objective4: crate::cost::objective::fast_objective4(self.coeffs, &self.best),
+                objective4: coefficient_score(self.coeffs, &self.best).0,
                 levels: self.levels,
                 iterations: self.iterations,
                 accepted: self.accepted,

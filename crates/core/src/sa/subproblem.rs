@@ -306,7 +306,7 @@ pub fn optimal_x_for_y_ilp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::objective::{evaluate, fast_objective4};
+    use crate::cost::objective::{coefficient_score, evaluate};
     use vpart_model::workload::QuerySpec;
     use vpart_model::{Schema, Workload};
 
@@ -357,9 +357,9 @@ mod tests {
             if cand.validate(&ins, false).is_err() {
                 continue;
             }
-            best = best.min(fast_objective4(&coeffs, &cand));
+            best = best.min(coefficient_score(&coeffs, &cand).0);
         }
-        let got = fast_objective4(&coeffs, &part);
+        let got = coefficient_score(&coeffs, &part).0;
         assert!(
             (got - best).abs() < 1e-9,
             "greedy y {got} vs brute force {best}"

@@ -31,7 +31,8 @@
 //!
 //! The measured bytes are compared against the cost model's prediction
 //! ([`PredictedBytes`], computed by the caller from
-//! `vpart_core::predicted_txn_bytes` — the engine deliberately does not
+//! `vpart_core::predicted_txn_bytes`, the per-transaction view of the
+//! walk behind `vpart_core::evaluate` — the engine deliberately does not
 //! depend on the solver crates) yielding a [`ReplayModelError`]: the
 //! relative gap between predicted and true bytes, which quantifies the
 //! model's quantization error (average widths and fractional row counts
@@ -341,9 +342,10 @@ impl ReplayConfig {
 
 /// The cost model's predicted bytes for one replay pass of a stream.
 ///
-/// Callers build this by summing `vpart_core::predicted_txn_bytes` over
-/// the stream's per-transaction counts; the engine takes it as opaque
-/// numbers so the model and the meter stay independently implemented.
+/// Callers build this by summing `vpart_core::predicted_txn_bytes` —
+/// `evaluate`'s walk viewed per transaction — over the stream's
+/// per-transaction counts; the engine takes it as opaque numbers so the
+/// model and the meter stay independently implemented.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictedBytes {
     /// Predicted bytes read by storage access methods.
@@ -577,9 +579,8 @@ struct Touch {
 
 /// A partitioning deployed as sharded row-major storage for replay.
 #[derive(Debug, Clone)]
-pub struct ReplayDeployment<'a> {
-    instance: &'a Instance,
-    partitioning: Partitioning,
+pub struct ReplayDeployment {
+    n_sites: usize,
     store: Store,
     plans: Vec<TxnPlan>,
     ops: Vec<TouchOp>,
@@ -587,12 +588,12 @@ pub struct ReplayDeployment<'a> {
     health: Option<HealthMonitor>,
 }
 
-impl<'a> ReplayDeployment<'a> {
+impl ReplayDeployment {
     /// Validates `partitioning` and materializes row-major storage:
     /// `rows_per_table` rows of every table, vertically fractioned per
     /// site, split into `shards` contiguous row-range shards.
     pub fn new(
-        instance: &'a Instance,
+        instance: &Instance,
         partitioning: &Partitioning,
         rows_per_table: usize,
         shards: usize,
@@ -666,8 +667,7 @@ impl<'a> ReplayDeployment<'a> {
         }
 
         Ok(Self {
-            instance,
-            partitioning: partitioning.clone(),
+            n_sites: partitioning.n_sites(),
             store,
             plans,
             ops,
@@ -697,21 +697,6 @@ impl<'a> ReplayDeployment<'a> {
     /// The attached health monitor, if any.
     pub fn health(&self) -> Option<&HealthMonitor> {
         self.health.as_ref()
-    }
-
-    /// The deployed partitioning.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
-    /// The instance this deployment serves.
-    pub fn instance(&self) -> &Instance {
-        self.instance
-    }
-
-    /// Rows materialized per table.
-    pub fn rows_per_table(&self) -> usize {
-        self.store.rows_per_table
     }
 
     /// Row-range shards.
@@ -749,7 +734,7 @@ impl<'a> ReplayDeployment<'a> {
                 });
             }
         }
-        let n_sites = self.partitioning.n_sites();
+        let n_sites = self.n_sites;
         let n_shards = self.store.shards.len();
         let workers = shard_split(n_shards, config.threads);
         let threads = workers.len();
@@ -1419,13 +1404,24 @@ mod tests {
         ));
     }
 
+    /// Only shards that hold rows are built, so no worker runs without
+    /// storage: 5 or 6 rows in 4 shards keep 3 shards, and with at least
+    /// as many threads as shards the report's two counts agree.
     #[test]
     fn shard_count_clamps_to_rows() {
         let ins = instance();
         let part = Partitioning::single_site(&ins, 1).unwrap();
-        let dep = ReplayDeployment::new(&ins, &part, 4, 64).unwrap();
-        assert_eq!(dep.n_shards(), 4);
-        assert!(dep.stored_bytes() > 0);
+        let stream = ReplayStream::weighted(&ins, 50, 9);
+        for (rows, shards, kept) in [(4, 64, 4), (5, 4, 3), (6, 4, 3), (100, 7, 7), (33, 32, 17)] {
+            let mut dep = ReplayDeployment::new(&ins, &part, rows, shards).unwrap();
+            assert_eq!(dep.n_shards(), kept, "R={rows} S={shards}");
+            assert!(dep.stored_bytes() > 0);
+            let report = dep
+                .replay(&stream, &ReplayConfig::deterministic(shards), None)
+                .unwrap();
+            assert_eq!(report.shards, kept, "R={rows} S={shards}");
+            assert_eq!(report.threads, report.shards, "R={rows} S={shards}");
+        }
     }
 
     #[test]

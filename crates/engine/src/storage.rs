@@ -219,8 +219,9 @@ pub(crate) struct Store {
 
 impl Store {
     /// Builds the segment of every `(shard, site, table)`. Both counts
-    /// are raised to at least 1, and there are never more shards than
-    /// rows.
+    /// are raised to at least 1. Shards hold `⌈rows / shards⌉` rows each,
+    /// and only the shards that hold rows are kept: 5 rows in 4 shards
+    /// are 3 shards of 2, 2 and 1 rows.
     pub(crate) fn new(
         schema: &Schema,
         partitioning: &Partitioning,
@@ -228,12 +229,13 @@ impl Store {
         shards: usize,
     ) -> Self {
         let rows_per_table = rows_per_table.max(1);
-        let n_shards = shards.clamp(1, rows_per_table);
+        let rows_per_shard = rows_per_table.div_ceil(shards.clamp(1, rows_per_table));
+        let n_shards = rows_per_table.div_ceil(rows_per_shard);
         let n_sites = partitioning.n_sites();
         let mut store = Self {
             shards: Vec::with_capacity(n_shards),
             rows_per_table,
-            rows_per_shard: rows_per_table.div_ceil(n_shards),
+            rows_per_shard,
         };
         for s in 0..n_shards {
             let (base, rows) = store.shard_rows(s);
@@ -332,6 +334,32 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// For row and shard counts up to 40, the kept shards each hold rows
+    /// and together cover the table once, in order.
+    #[test]
+    fn every_shard_holds_rows() {
+        let mut sb = Schema::builder();
+        sb.table("R", &[("k", 4.0)]).unwrap();
+        let schema = sb.build().unwrap();
+        let mut y = vpart_model::BitMatrix::new(1, 1);
+        y.set(0, 0);
+        let part = Partitioning::from_parts(1, Vec::new(), y).unwrap();
+        for rows in 1..=40 {
+            for shards in 1..=40 {
+                let store = Store::new(&schema, &part, rows, shards);
+                assert!(store.shards.len() <= shards, "R={rows} S={shards}");
+                let mut next = 0;
+                for s in 0..store.shards.len() {
+                    let (base, n) = store.shard_rows(s);
+                    assert!(n >= 1, "R={rows} S={shards}: shard {s} is empty");
+                    assert_eq!(base, next, "R={rows} S={shards}: gap");
+                    next += n;
+                }
+                assert_eq!(next, rows, "R={rows} S={shards}: coverage");
+            }
+        }
+    }
 
     /// The fill rule the segments implement, byte by byte.
     fn fill_byte(table: TableId, a: AttrId, r: usize, pw: usize, j: usize) -> u8 {

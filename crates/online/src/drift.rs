@@ -2,29 +2,30 @@
 //!
 //! Re-solving from scratch on every snapshot would burn the multi-start
 //! budget on workloads that did not move. [`assess_drift`] instead
-//! re-scores the incumbent against the current snapshot — one accumulator
-//! rebuild, the same full recompute `IncrementalCost::resync` runs at the
-//! annealer's checkpoints — and compares it with a *fresh bound*: the best
-//! of a few deterministic alternating `findSolution` passes (refining the
-//! incumbent's transaction assignment and a handful of seeded random
-//! ones). The **drift score** is the incumbent's relative regression over
-//! that bound,
+//! re-scores the incumbent against the current snapshot with the
+//! coefficient scorer [`vpart_core::fast_objective6`] and compares it with
+//! a *fresh bound*: the best of a few deterministic alternating
+//! `findSolution` passes (refining the incumbent's transaction assignment
+//! and a handful of seeded random ones), scored the same way. The
+//! **drift score** is the incumbent's relative regression over that
+//! bound,
 //!
 //! ```text
 //! score = (cost(incumbent | snapshot) − bound) / bound
 //! ```
 //!
 //! and a re-solve triggers when the score exceeds
-//! [`DriftConfig::threshold`]. The bound is itself a feasible layout, so a
-//! triggered re-solve can warm-start from whichever of incumbent/bound is
-//! better.
+//! [`DriftConfig::threshold`]. One scorer prices both sides, so an
+//! incumbent that no probe beats scores exactly 0. The bound is itself a
+//! feasible layout, so a triggered re-solve can warm-start from whichever
+//! of incumbent/bound is better.
 
 use crate::OnlineError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpart_core::cost::coeffs::CostCoefficients;
 use vpart_core::sa::subproblem::{optimal_x_for_y, optimal_y_for_x};
-use vpart_core::{CostConfig, IncrementalCost};
+use vpart_core::{fast_objective6, CostConfig};
 use vpart_model::{Instance, Partitioning, SiteId};
 
 /// Drift detector configuration.
@@ -109,19 +110,22 @@ pub fn adapt_incumbent(
 }
 
 /// Deterministic fresh bound: alternating subproblem passes from the
-/// incumbent's `x` and from `probes` seeded random assignments.
+/// incumbent's `x` and from `probes` seeded random assignments. Returns
+/// the best layout and its cost; the incumbent, scored as
+/// `incumbent_cost`, stands until a probe beats it.
 fn fresh_bound(
     snapshot: &Instance,
     coeffs: &CostCoefficients,
     incumbent: &Partitioning,
+    incumbent_cost: f64,
     cost: &CostConfig,
     probes: u64,
 ) -> (Partitioning, f64) {
     let n_sites = incumbent.n_sites();
-    let score = |p: &Partitioning| vpart_core::fast_objective6(snapshot, coeffs, p, cost);
+    let score = |p: &Partitioning| fast_objective6(snapshot, coeffs, p, cost);
 
     let mut best = incumbent.clone();
-    let mut best_cost = score(&best);
+    let mut best_cost = incumbent_cost;
     let mut consider = |mut p: Partitioning| {
         for _ in 0..2 {
             p = optimal_x_for_y(snapshot, coeffs, &p, cost);
@@ -153,8 +157,8 @@ fn fresh_bound(
 
 /// Re-scores `incumbent` against `snapshot` and decides whether the drift
 /// warrants a re-solve. The incumbent is adapted first (see
-/// [`adapt_incumbent`]); its cost comes from a full
-/// [`IncrementalCost`] accumulator rebuild on the snapshot.
+/// [`adapt_incumbent`]); it and every probe of the bound are priced by
+/// [`fast_objective6`] on the snapshot's coefficients.
 pub fn assess_drift(
     snapshot: &Instance,
     incumbent: &Partitioning,
@@ -164,11 +168,15 @@ pub fn assess_drift(
     config.validate()?;
     let adapted = adapt_incumbent(snapshot, incumbent)?;
     let coeffs = CostCoefficients::compute(snapshot, cost);
-    let incumbent_cost =
-        IncrementalCost::new(snapshot, &coeffs, cost, adapted.clone()).objective6();
-    let (bound_partitioning, raw_bound) =
-        fresh_bound(snapshot, &coeffs, &adapted, cost, config.bound_probes);
-    let bound = raw_bound.min(incumbent_cost);
+    let incumbent_cost = fast_objective6(snapshot, &coeffs, &adapted, cost);
+    let (bound_partitioning, bound) = fresh_bound(
+        snapshot,
+        &coeffs,
+        &adapted,
+        incumbent_cost,
+        cost,
+        config.bound_probes,
+    );
     let score = ((incumbent_cost - bound) / bound.max(f64::MIN_POSITIVE)).max(0.0);
     Ok(DriftAssessment {
         incumbent_cost,
@@ -291,7 +299,7 @@ mod tests {
         assert!(a.triggered, "score {} should exceed 5%", a.score);
         // The reported bound layout really achieves the bound.
         let coeffs = CostCoefficients::compute(&after, &cost);
-        let c = vpart_core::fast_objective6(&after, &coeffs, &a.bound_partitioning, &cost);
+        let c = fast_objective6(&after, &coeffs, &a.bound_partitioning, &cost);
         assert!((c - a.bound).abs() <= 1e-9 * (1.0 + a.bound));
     }
 

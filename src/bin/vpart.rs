@@ -799,6 +799,7 @@ fn load_partitioning(path: &str, ins: &Instance) -> Result<Partitioning, String>
 }
 
 fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
+    use vpart::core::cost::latency::psi;
     use vpart::core::predicted_txn_bytes;
     use vpart::engine::{
         FaultInjector, PredictedBytes, ReplayConfig, ReplayDeployment, ReplayStream, RowSkew,
@@ -857,19 +858,12 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         predicted.transferred += c as f64 * per_txn[t].transferred;
     }
 
-    // An execution is single-sited when none of its write queries touches
-    // an attribute with a replica off its home site. This is the only
-    // place the rule lives; the engine meters bytes, not executions.
+    // An execution is single-sited when none of its queries has Appendix
+    // A's ψ = 1 (a write touching a replica off the home site). The
+    // engine meters bytes, not executions, so replay counts them here.
     let single_sited = |t: usize| {
-        let txn = TxnId::from_index(t);
-        let home = part.site_of(txn);
-        ins.workload().txn(txn).queries.iter().all(|&q| {
-            let q = ins.workload().query(q);
-            !q.kind.is_write()
-                || q.attrs
-                    .iter()
-                    .all(|&a| part.attr_sites(a).all(|s| s == home))
-        })
+        let txn = ins.workload().txn(TxnId::from_index(t));
+        txn.queries.iter().all(|&q| !psi(&ins, &part, q))
     };
     let single_sited_executions: usize = (0..counts.len())
         .filter(|&t| single_sited(t))
